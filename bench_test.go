@@ -550,20 +550,6 @@ func BenchmarkGraphBetweennessISP(b *testing.B) {
 	}
 }
 
-func BenchmarkLAConditionISP(b *testing.B) {
-	env, err := experiment.NewEnv(experiment.Wireline, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := env.Sys.R()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := la.ConditionEst(r, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCampaignTwentyRounds(b *testing.B) {
 	f, sys, x := fig1Fixture(b)
 	_ = f

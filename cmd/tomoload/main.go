@@ -141,19 +141,6 @@ func splitNodes(spec string) []string {
 	return out
 }
 
-// scrapeFleet snapshots every node's /metrics directly, in order.
-func scrapeFleet(ctx context.Context, nodes []string) ([]map[string]float64, error) {
-	var out []map[string]float64
-	for _, u := range nodes {
-		m, err := e2e.NewClient(u, nil).MetricsSnapshot(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("scrape %s: %w", u, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 // run executes one load campaign. Factored out of main so tests can
 // drive the full flag-to-summary path.
 func run(ctx context.Context, opt options, out io.Writer) error {
@@ -175,7 +162,6 @@ func run(ctx context.Context, opt options, out io.Writer) error {
 	}
 
 	base := opt.addr
-	var h *e2e.Harness
 	if base == "" {
 		// Self-contained mode: a real tomographyd core over loopback,
 		// with the request deadline disabled so the transcript digest is
@@ -186,7 +172,7 @@ func run(ctx context.Context, opt options, out io.Writer) error {
 		if opt.stream {
 			cfg.Workers = max(16, 2*opt.workers)
 		}
-		h = e2e.NewHarness(cfg)
+		h := e2e.NewHarness(cfg)
 		defer h.Close()
 		base = h.URL()
 		fmt.Fprintf(out, "tomoload: in-process daemon at %s\n", base)
@@ -209,20 +195,35 @@ func run(ctx context.Context, opt options, out io.Writer) error {
 		}
 	}
 
-	if opt.stream {
-		return runStream(ctx, opt, chaos, scenarios, base, h, out)
+	// -verify reconciles the counter deltas of the scraped nodes: the
+	// daemon itself, or every fleet node named by -scrape-nodes.
+	nodes := opt.scrapeNodes
+	if len(nodes) == 0 {
+		nodes = []string{base}
 	}
-
-	var pre map[string]float64
-	var preFleet []map[string]float64
+	var pre []map[string]float64
 	if opt.verify {
-		if len(opt.scrapeNodes) > 0 {
-			if preFleet, err = scrapeFleet(ctx, opt.scrapeNodes); err != nil {
-				return fmt.Errorf("pre-run fleet scrape: %w", err)
-			}
-		} else if pre, err = plain.MetricsSnapshot(ctx); err != nil {
+		if pre, err = e2e.Scrape(ctx, nodes...); err != nil {
 			return fmt.Errorf("pre-run metrics scrape: %w", err)
 		}
+	}
+	verify := func(wants []e2e.Want, what string) error {
+		post, err := e2e.Scrape(ctx, nodes...)
+		if err != nil {
+			return fmt.Errorf("post-run metrics scrape: %w", err)
+		}
+		if msgs := e2e.Reconcile(wants, pre, post); len(msgs) != 0 {
+			for _, m := range msgs {
+				fmt.Fprintf(out, "verify: MISMATCH %s\n", m)
+			}
+			return fmt.Errorf("verification failed: %d counter mismatch(es)", len(msgs))
+		}
+		fmt.Fprintf(out, "verify: server metrics reconcile with the %s\n", what)
+		return nil
+	}
+
+	if opt.stream {
+		return runStream(ctx, opt, chaos, scenarios, base, verify, out)
 	}
 
 	fmt.Fprintf(out, "tomoload: issuing %d requests (workers %d, rps %g, chaos %s, fault %.2f)\n",
@@ -258,29 +259,12 @@ func run(ctx context.Context, opt options, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "transcript digest: %s\n", tr.Digest())
-
 	if opt.verify {
-		var msgs []string
-		if len(opt.scrapeNodes) > 0 {
-			postFleet, err := scrapeFleet(ctx, opt.scrapeNodes)
-			if err != nil {
-				return fmt.Errorf("post-run fleet scrape: %w", err)
-			}
-			msgs = e2e.ReconcileFleetScrape(tr.Expected(), preFleet, postFleet)
-		} else {
-			post, err := plain.MetricsSnapshot(ctx)
-			if err != nil {
-				return fmt.Errorf("post-run metrics scrape: %w", err)
-			}
-			msgs = tr.Expected().ReconcileScrape(pre, post)
+		e := tr.Expected()
+		if e.Mismatches != 0 {
+			return fmt.Errorf("verification failed: %d verdict(s) disagreed with the client-side precomputation", e.Mismatches)
 		}
-		if len(msgs) != 0 {
-			for _, m := range msgs {
-				fmt.Fprintf(out, "verify: MISMATCH %s\n", m)
-			}
-			return fmt.Errorf("verification failed: %d counter mismatch(es)", len(msgs))
-		}
-		fmt.Fprintln(out, "verify: server metrics reconcile with the transcript")
+		return verify(e.Wants(), "transcript")
 	}
 	return nil
 }
@@ -341,10 +325,9 @@ func runChurn(ctx context.Context, opt options, out io.Writer) error {
 // through long-lived sessions, with the same seed-determinism contract
 // as the one-shot path. Client-side verdict verification (every verdict
 // checked against a local precomputation) always runs; -verify adds the
-// server-side counter reconcile, which needs the in-process harness —
-// a shared remote daemon's absolute counters are not ours to assert on.
-func runStream(ctx context.Context, opt options, chaos e2e.ChaosConfig,
-	scenarios []*e2e.Scenario, base string, h *e2e.Harness, out io.Writer) error {
+// server-side counter reconcile of the run's /metrics deltas.
+func runStream(ctx context.Context, opt options, chaos e2e.ChaosConfig, scenarios []*e2e.Scenario,
+	base string, verify func([]e2e.Want, string) error, out io.Writer) error {
 	fmt.Fprintf(out, "tomoload: streaming %d session(s) x %d rounds (batch %d, churn %d, workers %d, chaos %s)\n",
 		opt.sessions, opt.rounds, opt.batch, opt.churn, opt.workers, chaos)
 	tr, err := e2e.RunStream(ctx, e2e.StreamConfig{
@@ -379,17 +362,7 @@ func runStream(ctx context.Context, opt options, chaos e2e.ChaosConfig,
 		return fmt.Errorf("%d verdict(s) disagreed with the client-side precomputation", e.Mismatches)
 	}
 	if opt.verify {
-		if h == nil {
-			fmt.Fprintln(out, "verify: remote daemon; verdict precomputation check passed, counter reconcile skipped")
-			return nil
-		}
-		if msgs := e.Reconcile(h.Metrics()); len(msgs) != 0 {
-			for _, m := range msgs {
-				fmt.Fprintf(out, "verify: MISMATCH %s\n", m)
-			}
-			return fmt.Errorf("verification failed: %d counter mismatch(es)", len(msgs))
-		}
-		fmt.Fprintln(out, "verify: server metrics reconcile with the stream transcript")
+		return verify(e.Wants(), "stream transcript")
 	}
 	return nil
 }

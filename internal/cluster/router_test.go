@@ -401,6 +401,71 @@ func TestRouterSessionsSticky(t *testing.T) {
 	}
 }
 
+// TestRouterSessionIDsUniqueAcrossNodes opens two sessions through a
+// 1-group × 2-replica router, whose round-robin lands one on each node.
+// Every daemon numbers its sessions from 1, so the IDs must still
+// differ across nodes: the router pins sessions by ID, and a shared ID
+// would send one session's traffic to the other node's session.
+func TestRouterSessionIDsUniqueAcrossNodes(t *testing.T) {
+	f := newTestFleet(t, 1, 2)
+	mustRegister(t, f, "chain-2", 2)
+
+	ids := make([]string, 2)
+	for i := range ids {
+		status, raw := postJSON(t, f.ts.URL, "/v1/sessions", serve.SessionRequest{Topology: "chain-2"})
+		if status != http.StatusCreated {
+			t.Fatalf("session %d create: %d %s", i, status, raw)
+		}
+		var sess serve.SessionResponse
+		if err := json.Unmarshal(raw, &sess); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = sess.Session
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("two nodes minted the same session ID %q", ids[0])
+	}
+
+	status, raw := doReq(t, http.MethodGet, f.ts.URL+"/cluster/healthz", nil)
+	if status != http.StatusOK {
+		t.Fatalf("cluster healthz: %d", status)
+	}
+	var ch cluster.ClusterHealth
+	if err := json.Unmarshal(raw, &ch); err != nil {
+		t.Fatal(err)
+	}
+	if ch.Sessions != 2 {
+		t.Fatalf("cluster healthz sessions = %d, want 2", ch.Sessions)
+	}
+
+	// Session i gets i+1 rounds, so each GET proves which node's session
+	// answered it.
+	line, err := json.Marshal(serve.StreamRound{Y: chainY(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line = append(line, '\n')
+	for i, id := range ids {
+		body := bytes.Repeat(line, i+1)
+		if status, raw := doReq(t, http.MethodPost, f.ts.URL+"/v1/sessions/"+id+"/rounds", body); status != http.StatusOK {
+			t.Fatalf("session %s rounds: %d %s", id, status, raw)
+		}
+	}
+	for i, id := range ids {
+		status, raw := doReq(t, http.MethodGet, f.ts.URL+"/v1/sessions/"+id, nil)
+		if status != http.StatusOK {
+			t.Fatalf("session %s get: %d %s", id, status, raw)
+		}
+		var ss serve.SessionStatusResponse
+		if err := json.Unmarshal(raw, &ss); err != nil {
+			t.Fatal(err)
+		}
+		if ss.Session != id || ss.Rounds != int64(i+1) {
+			t.Errorf("GET %s answered session %s with %d rounds, want %d", id, ss.Session, ss.Rounds, i+1)
+		}
+	}
+}
+
 func TestRouterFanReadsAndClusterEndpoints(t *testing.T) {
 	f := newTestFleet(t, 2, 2)
 	mustRegister(t, f, "chain-2", 2)

@@ -2,9 +2,8 @@ package e2e
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -71,20 +70,18 @@ type ChurnTranscript struct {
 // the digest is invariant under worker count: the determinism contract
 // for dynamic campaigns.
 func (t *ChurnTranscript) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "churn script=%s seed=%d draw=%d epochs=%d\n",
+	header := fmt.Sprintf("churn script=%s seed=%d draw=%d epochs=%d",
 		t.Script, t.Seed, t.Draw, len(t.Epochs))
-	for _, ep := range t.Epochs {
-		fmt.Fprintf(h, "%d|%s|%s|reg=%d|evict=%d|muts=%s|rounds=%d|exp=%d|alarms=%d|mm=%d|damage=%.3f|res=",
+	return digestLines(header, len(t.Epochs), func(w io.Writer, i int) {
+		ep := &t.Epochs[i]
+		fmt.Fprintf(w, "%d|%s|%s|reg=%d|evict=%d|muts=%s|rounds=%d|exp=%d|alarms=%d|mm=%d|damage=%.3f|res=",
 			ep.Index, ep.Tag, ep.Route, ep.RegStatus, ep.EvictStatus,
 			strings.Join(ep.Mutations, ","), ep.Rounds, ep.ExpAlarms, ep.Alarms,
 			ep.VerdictMismatch, ep.Damage)
 		for _, r := range ep.Residuals {
-			fmt.Fprintf(h, "%.3f,", r)
+			fmt.Fprintf(w, "%.3f,", r)
 		}
-		fmt.Fprintln(h)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	})
 }
 
 // Summary renders the per-epoch campaign table.

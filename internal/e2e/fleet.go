@@ -235,22 +235,6 @@ func (f *Fleet) RegisterScenarios(ctx context.Context, scenarios []*Scenario) er
 	return f.SyncErr()
 }
 
-// ScrapeAll scrapes every node's /metrics directly (not through the
-// router) and returns the per-node maps in flat boot order.
-func (f *Fleet) ScrapeAll(ctx context.Context) ([]map[string]float64, error) {
-	var out []map[string]float64
-	for _, row := range f.Nodes {
-		for _, node := range row {
-			m, err := NewClient(node.URL(), nil).MetricsSnapshot(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("e2e: scrape %s: %w", node.Name, err)
-			}
-			out = append(out, m)
-		}
-	}
-	return out, nil
-}
-
 // Close shuts the router and every shard down (idempotent).
 func (f *Fleet) Close() {
 	f.mu.Lock()
@@ -269,33 +253,6 @@ func (f *Fleet) Close() {
 			node.Store.Close()
 		}
 	}
-}
-
-// SumMetrics adds per-node scrape maps into one fleet-wide map.
-func SumMetrics(maps ...map[string]float64) map[string]float64 {
-	out := make(map[string]float64)
-	for _, m := range maps {
-		for k, v := range m {
-			out[k] += v
-		}
-	}
-	return out
-}
-
-// ReconcileFleetScrape checks a load expectation against per-node
-// scrape pairs summed fleet-wide. Requests fan across shards
-// nondeterministically under concurrency, but each request lands on
-// exactly one node, so the sums are exact. Every node's post scrape
-// counts itself once (the same self-hit ReconcileScrape documents), so
-// the summed delta carries len(nodes) self-hits where the single-node
-// contract expects one; the surplus is folded out before delegating.
-func ReconcileFleetScrape(e ExpectedMetrics, pre, post []map[string]float64) []string {
-	if len(pre) != len(post) {
-		return []string{fmt.Sprintf("e2e: %d pre scrapes vs %d post scrapes", len(pre), len(post))}
-	}
-	sumPre, sumPost := SumMetrics(pre...), SumMetrics(post...)
-	sumPost[`tomographyd_requests_total{route="metrics"}`] -= float64(len(post) - 1)
-	return e.ReconcileScrape(sumPre, sumPost)
 }
 
 // BackboneScenario builds a clean (attack-free) campaign over a

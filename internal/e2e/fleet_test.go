@@ -76,10 +76,14 @@ func runFleetSoak(t *testing.T, f *Fleet, scenarios []*Scenario, workers int) *T
 	if err := f.RegisterScenarios(ctx, scenarios); err != nil {
 		t.Fatal(err)
 	}
-	pre, err := f.ScrapeAll(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// Scrape every node directly, not through the router.
+	var nodes []string
+	for _, row := range f.Nodes {
+		for _, node := range row {
+			nodes = append(nodes, node.URL())
+		}
 	}
+	pre := scrape(t, nodes...)
 	tr, err := RunLoad(ctx, LoadConfig{
 		BaseURL:   f.URL(),
 		Scenarios: scenarios,
@@ -92,12 +96,9 @@ func runFleetSoak(t *testing.T, f *Fleet, scenarios []*Scenario, workers int) *T
 	if err != nil {
 		t.Fatal(err)
 	}
-	post, err := f.ScrapeAll(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgs := ReconcileFleetScrape(tr.Expected(), pre, post); len(msgs) != 0 {
-		t.Errorf("fleet scrape does not reconcile: %v", msgs)
+	e := tr.Expected()
+	if msgs := Reconcile(e.Wants(), pre, scrape(t, nodes...)); len(msgs) != 0 || e.Mismatches != 0 {
+		t.Errorf("fleet scrape does not reconcile (%d verdict mismatches): %v", e.Mismatches, msgs)
 	}
 	return tr
 }

@@ -21,6 +21,7 @@ var update = flag.Bool("update", false, "rewrite the golden soak transcript dige
 func TestGoldenSoakTranscript(t *testing.T) {
 	scenarios := buildKinds(t, 1, KindClean, KindStealthy, KindChosenVictim)
 	h, _ := newTestHarness(t, scenarios)
+	pre := scrape(t, h.URL())
 	tr, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL:   h.URL(),
 		Scenarios: scenarios,
@@ -33,11 +34,11 @@ func TestGoldenSoakTranscript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgs := tr.Expected().Reconcile(h.Metrics()); len(msgs) != 0 {
-		t.Fatalf("golden run does not reconcile: %v", msgs)
+	e := tr.Expected()
+	if msgs := Reconcile(e.Wants(), pre, scrape(t, h.URL())); len(msgs) != 0 || e.Mismatches != 0 {
+		t.Fatalf("golden run does not reconcile (%d verdict mismatches): %v", e.Mismatches, msgs)
 	}
 
-	e := tr.Expected()
 	got := fmt.Sprintf(
 		"digest %s\nsent %d dropped %d\nestimate-reqs %d inspect-reqs %d errors %d\nestimate-rounds %d inspect-rounds %d alarms %d\n",
 		tr.Digest(), e.Sent, e.Dropped,

@@ -68,9 +68,6 @@ func NewPersistentHarness(ctx context.Context, cfg serve.Config, dir string, sop
 // URL is the harness's loopback base URL.
 func (h *Harness) URL() string { return h.HTTP.URL }
 
-// Metrics exposes the live server metrics for reconciliation.
-func (h *Harness) Metrics() *serve.Metrics { return h.Server.Metrics() }
-
 // Close shuts the loopback server down, then the store (when
 // persistent) so the journal's tail is fsynced — the graceful-restart
 // path. Crash tests skip Close entirely.

@@ -2,8 +2,6 @@ package e2e
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -178,29 +176,26 @@ type Transcript struct {
 // order. Residual norms are quantized to 1 µs so the digest survives
 // last-ulp float differences across platforms.
 func (t *Transcript) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "seed=%d chaos=%s n=%d\n", t.Seed, t.Chaos, len(t.Records))
-	for i := range t.Records {
+	header := fmt.Sprintf("seed=%d chaos=%s n=%d", t.Seed, t.Chaos, len(t.Records))
+	return digestLines(header, len(t.Records), func(w io.Writer, i int) {
 		r := &t.Records[i]
 		mm := 0
 		if r.VerdictMismatch {
 			mm = 1
 		}
-		fmt.Fprintf(h, "%d|%s|%s|%d|%d|%d|%s|%d|%d",
+		fmt.Fprintf(w, "%d|%s|%s|%d|%d|%d|%s|%d|%d",
 			r.Index, r.Op, r.Scenario, r.Rounds, r.ExpAlarms, r.Status, r.ErrClass, r.Alarms, mm)
 		for _, v := range r.Residuals {
-			fmt.Fprintf(h, "|%.3f", v)
+			fmt.Fprintf(w, "|%.3f", v)
 		}
-		fmt.Fprintln(h)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	})
 }
 
-// ExpectedMetrics is the client-side reconciliation of what the server's
-// counters must show after the run, assuming the server started from
-// zero. Chaos cannot blur it: a dropped request was never sent (no
-// counters), while truncate/reset only mangle the response body after
-// the server fully processed the request (all counters).
+// ExpectedMetrics is the client-side tally of what the server's
+// counters must have recorded over the run. Chaos cannot blur it: a
+// dropped request was never sent (no counters), while truncate/reset
+// only mangle the response body after the server fully processed the
+// request (all counters).
 type ExpectedMetrics struct {
 	ReqEstimate    int64
 	ReqInspect     int64
@@ -257,57 +252,20 @@ func (t *Transcript) Expected() ExpectedMetrics {
 	return e
 }
 
-// Reconcile compares the expectation against live server metrics and
-// returns one message per mismatch (empty = fully reconciled). It
-// assumes the metrics belong to this run alone.
-func (e ExpectedMetrics) Reconcile(m *serve.Metrics) []string {
-	var out []string
-	check := func(name string, got, want int64) {
-		if got != want {
-			out = append(out, fmt.Sprintf("%s = %d, want %d", name, got, want))
-		}
+// Wants lists the counter deltas the run must leave on /metrics. All
+// are exact, chaos or not. Verdict mismatches are client-side and not
+// among them; check Mismatches alongside.
+func (e ExpectedMetrics) Wants() []Want {
+	return []Want{
+		exactWant(`tomographyd_requests_total{route="estimate"}`, e.ReqEstimate),
+		exactWant(`tomographyd_requests_total{route="inspect"}`, e.ReqInspect),
+		exactWant(`tomographyd_requests_total{route="healthz"}`, e.ReqHealthz),
+		exactWant(metricsSeries, e.ReqMetrics),
+		exactWant("tomographyd_request_errors_total", e.ReqErrors),
+		exactWant("tomographyd_estimate_rounds_total", e.EstimateRounds),
+		exactWant("tomographyd_inspect_rounds_total", e.InspectRounds),
+		exactWant("tomographyd_detector_alarms_total", e.Alarms),
 	}
-	check("ReqEstimate", m.ReqEstimate.Load(), e.ReqEstimate)
-	check("ReqInspect", m.ReqInspect.Load(), e.ReqInspect)
-	check("ReqHealthz", m.ReqHealthz.Load(), e.ReqHealthz)
-	check("ReqMetrics", m.ReqMetrics.Load(), e.ReqMetrics)
-	check("ReqErrors", m.ReqErrors.Load(), e.ReqErrors)
-	check("EstimateRounds", m.EstimateRounds.Load(), e.EstimateRounds)
-	check("InspectRounds", m.InspectRounds.Load(), e.InspectRounds)
-	check("Alarms", m.Alarms.Load(), e.Alarms)
-	if e.Mismatches != 0 {
-		out = append(out, fmt.Sprintf("%d server/client verdict mismatches", e.Mismatches))
-	}
-	return out
-}
-
-// ReconcileScrape compares the expectation against the delta of two
-// /metrics scrapes (ParsePrometheus maps), for runs against a remote
-// daemon whose counters did not start at zero.
-func (e ExpectedMetrics) ReconcileScrape(pre, post map[string]float64) []string {
-	var out []string
-	check := func(key string, want int64) {
-		got := int64(post[key] - pre[key])
-		if got != want {
-			out = append(out, fmt.Sprintf("Δ%s = %d, want %d", key, got, want))
-		}
-	}
-	check(`tomographyd_requests_total{route="estimate"}`, e.ReqEstimate)
-	check(`tomographyd_requests_total{route="inspect"}`, e.ReqInspect)
-	check(`tomographyd_requests_total{route="healthz"}`, e.ReqHealthz)
-	// The metrics route counts its own scrapes: the counter increments
-	// before the exposition renders, so the post scrape includes itself
-	// while the pre scrape's own hit is present in both readings and
-	// cancels in the delta — hence exactly one extra hit.
-	check(`tomographyd_requests_total{route="metrics"}`, e.ReqMetrics+1)
-	check("tomographyd_request_errors_total", e.ReqErrors)
-	check("tomographyd_estimate_rounds_total", e.EstimateRounds)
-	check("tomographyd_inspect_rounds_total", e.InspectRounds)
-	check("tomographyd_detector_alarms_total", e.Alarms)
-	if e.Mismatches != 0 {
-		out = append(out, fmt.Sprintf("%d server/client verdict mismatches", e.Mismatches))
-	}
-	return out
 }
 
 // Summary renders a human-readable run report.

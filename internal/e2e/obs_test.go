@@ -45,6 +45,7 @@ func TestObsSmoke(t *testing.T) {
 	h, c := newTestHarness(t, scenarios)
 	ctx := context.Background()
 
+	pre := scrape(t, h.URL())
 	tr, err := RunLoad(ctx, LoadConfig{
 		BaseURL:   h.URL(),
 		Scenarios: scenarios,
@@ -56,8 +57,9 @@ func TestObsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msgs := tr.Expected().Reconcile(h.Metrics()); len(msgs) != 0 {
-		t.Fatalf("reconcile under instrumentation: %v", msgs)
+	e := tr.Expected()
+	if msgs := Reconcile(e.Wants(), pre, scrape(t, h.URL())); len(msgs) != 0 || e.Mismatches != 0 {
+		t.Fatalf("reconcile under instrumentation (%d verdict mismatches): %v", e.Mismatches, msgs)
 	}
 
 	// One explicit estimate so the trace ring surely holds one.

@@ -106,7 +106,7 @@ func TestKillRestartWarm(t *testing.T) {
 	// The warm start re-factored each distinct routing matrix exactly
 	// once: all three scenarios share Fig. 1's matrix, so the restarted
 	// cache shows one miss and two hits.
-	if hits, misses := h2.Metrics().CacheHits.Load(), h2.Metrics().CacheMisses.Load(); hits != 2 || misses != 1 {
+	if hits, misses := h2.Server.Metrics().CacheHits.Load(), h2.Server.Metrics().CacheMisses.Load(); hits != 2 || misses != 1 {
 		t.Errorf("restart cache hits/misses = %d/%d, want 2/1", hits, misses)
 	}
 }

@@ -35,6 +35,17 @@ func newTestHarness(t *testing.T, scenarios []*Scenario) (*Harness, *Client) {
 	return h, c
 }
 
+// scrape snapshots each daemon's /metrics, in the per-node shape
+// Reconcile takes (a single daemon is a slice of one).
+func scrape(t *testing.T, urls ...string) []map[string]float64 {
+	t.Helper()
+	m, err := Scrape(context.Background(), urls...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func buildKinds(t *testing.T, seed int64, kinds ...ScenarioKind) []*Scenario {
 	t.Helper()
 	out, err := BuildScenarios(kinds, seed)
@@ -56,7 +67,7 @@ func TestSmokeTheorem3OverHTTP(t *testing.T) {
 
 	// All three scenarios share the Fig. 1 routing matrix, so the solver
 	// cache must factor exactly once.
-	if hits, misses := h.Metrics().CacheHits.Load(), h.Metrics().CacheMisses.Load(); hits != 2 || misses != 1 {
+	if hits, misses := h.Server.Metrics().CacheHits.Load(), h.Server.Metrics().CacheMisses.Load(); hits != 2 || misses != 1 {
 		t.Errorf("solver cache hits/misses = %d/%d, want 2/1", hits, misses)
 	}
 
@@ -109,6 +120,7 @@ func TestSmokeChaosLoadReconciles(t *testing.T) {
 	scenarios := buildKinds(t, 1, KindClean, KindChosenVictim)
 	h, _ := newTestHarness(t, scenarios)
 
+	pre := scrape(t, h.URL())
 	tr, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL:   h.URL(),
 		Scenarios: scenarios,
@@ -122,8 +134,8 @@ func TestSmokeChaosLoadReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := tr.Expected()
-	if msgs := e.Reconcile(h.Metrics()); len(msgs) != 0 {
-		t.Fatalf("metrics do not reconcile:\n%s\n%s", msgs, tr.Summary())
+	if msgs := Reconcile(e.Wants(), pre, scrape(t, h.URL())); len(msgs) != 0 || e.Mismatches != 0 {
+		t.Fatalf("metrics do not reconcile (%d verdict mismatches):\n%s\n%s", e.Mismatches, msgs, tr.Summary())
 	}
 	if e.Dropped == 0 {
 		t.Error("chaos drop never fired in 600 requests")

@@ -13,10 +13,12 @@ import (
 var soakChaos = ChaosConfig{Drop: 0.03, Truncate: 0.04, Reset: 0.015}
 
 // runSoak boots a fresh harness, registers the scenarios, runs the load
-// plan, and returns the transcript plus the harness for reconciliation.
-func runSoak(t *testing.T, scenarios []*Scenario, requests int, seed int64) (*Transcript, *Harness) {
+// plan, and returns the transcript, the harness, and the messages of
+// reconciling the run against the harness's /metrics.
+func runSoak(t *testing.T, scenarios []*Scenario, requests int, seed int64) (*Transcript, *Harness, []string) {
 	t.Helper()
 	h, _ := newTestHarness(t, scenarios)
+	pre := scrape(t, h.URL())
 	tr, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL:   h.URL(),
 		Scenarios: scenarios,
@@ -29,7 +31,7 @@ func runSoak(t *testing.T, scenarios []*Scenario, requests int, seed int64) (*Tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, h
+	return tr, h, Reconcile(tr.Expected().Wants(), pre, scrape(t, h.URL()))
 }
 
 // TestSoakDeterministicDigest is the tentpole invariant: two fresh
@@ -44,8 +46,8 @@ func TestSoakDeterministicDigest(t *testing.T) {
 	}
 	scenarios := buildKinds(t, 1, KindClean, KindStealthy, KindChosenVictim)
 
-	tr1, h1 := runSoak(t, scenarios, requests, 1234)
-	tr2, h2 := runSoak(t, scenarios, requests, 1234)
+	tr1, h1, msgs1 := runSoak(t, scenarios, requests, 1234)
+	tr2, h2, msgs2 := runSoak(t, scenarios, requests, 1234)
 
 	d1, d2 := tr1.Digest(), tr2.Digest()
 	if d1 != d2 {
@@ -53,18 +55,19 @@ func TestSoakDeterministicDigest(t *testing.T) {
 			d1, d2, tr1.Summary(), tr2.Summary())
 	}
 	for i, pair := range []struct {
-		tr *Transcript
-		h  *Harness
-	}{{tr1, h1}, {tr2, h2}} {
+		tr   *Transcript
+		h    *Harness
+		msgs []string
+	}{{tr1, h1, msgs1}, {tr2, h2, msgs2}} {
 		e := pair.tr.Expected()
-		if msgs := e.Reconcile(pair.h.Metrics()); len(msgs) != 0 {
-			t.Errorf("run %d does not reconcile: %v", i+1, msgs)
+		if len(pair.msgs) != 0 || e.Mismatches != 0 {
+			t.Errorf("run %d does not reconcile (%d verdict mismatches): %v", i+1, e.Mismatches, pair.msgs)
 		}
 		if e.Dropped == 0 || e.Sent == 0 {
 			t.Errorf("run %d: sent %d dropped %d — chaos mix not exercised", i+1, e.Sent, e.Dropped)
 		}
 		// Three registrations of one routing matrix: one factorization.
-		m := pair.h.Metrics()
+		m := pair.h.Server.Metrics()
 		if hits, misses := m.CacheHits.Load(), m.CacheMisses.Load(); hits != 2 || misses != 1 {
 			t.Errorf("run %d: solver cache hits/misses = %d/%d, want 2/1", i+1, hits, misses)
 		}
@@ -72,7 +75,7 @@ func TestSoakDeterministicDigest(t *testing.T) {
 
 	// A different seed must produce a different plan (digest includes the
 	// seed, so compare a seed-free projection: the per-op counts).
-	tr3, _ := runSoak(t, scenarios, requests/4, 99)
+	tr3, _, _ := runSoak(t, scenarios, requests/4, 99)
 	if tr3.Digest() == d1 {
 		t.Error("different seed reproduced the same digest")
 	}
@@ -113,6 +116,7 @@ func TestSoakRPSPacing(t *testing.T) {
 	}
 	scenarios := buildKinds(t, 1, KindClean)
 	h, _ := newTestHarness(t, scenarios)
+	pre := scrape(t, h.URL())
 	tr, err := RunLoad(context.Background(), LoadConfig{
 		BaseURL:   h.URL(),
 		Scenarios: scenarios,
@@ -128,8 +132,9 @@ func TestSoakRPSPacing(t *testing.T) {
 	if tr.Elapsed.Milliseconds() < 150 {
 		t.Errorf("paced run finished in %v; pacing is not applied", tr.Elapsed)
 	}
-	if msgs := tr.Expected().Reconcile(h.Metrics()); len(msgs) != 0 {
-		t.Errorf("paced run does not reconcile: %v", msgs)
+	e := tr.Expected()
+	if msgs := Reconcile(e.Wants(), pre, scrape(t, h.URL())); len(msgs) != 0 || e.Mismatches != 0 {
+		t.Errorf("paced run does not reconcile (%d verdict mismatches): %v", e.Mismatches, msgs)
 	}
 }
 

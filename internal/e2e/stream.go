@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -315,32 +313,29 @@ type StreamTranscript struct {
 // digest survives last-ulp float drift (including the ≤1e-10 factor
 // drift a rank-1 add+remove round trip leaves behind).
 func (t *StreamTranscript) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "stream seed=%d chaos=%s sessions=%d\n", t.Seed, t.Chaos, len(t.Sessions))
-	for i := range t.Sessions {
+	header := fmt.Sprintf("stream seed=%d chaos=%s sessions=%d", t.Seed, t.Chaos, len(t.Sessions))
+	return digestLines(header, len(t.Sessions), func(w io.Writer, i int) {
 		r := &t.Sessions[i]
 		mm := 0
 		if r.VerdictMismatch {
 			mm = 1
 		}
-		fmt.Fprintf(h, "%d|%s|%v|%v|%v|%d|%d|%d|%d|%v|%d|%d|%d",
+		fmt.Fprintf(w, "%d|%s|%v|%v|%v|%d|%d|%d|%d|%v|%d|%d|%d",
 			r.Index, r.Scenario, r.Statuses, r.ErrClasses, r.ReqVerdicts,
 			r.RoundsSent, r.ExpAlarms, r.Verdicts, r.Alarms,
 			r.Mutations, r.SummaryRounds, mm, r.CloseStatus)
 		for j := range r.Residuals {
-			fmt.Fprintf(h, "|%.3f/%.3f", r.Residuals[j], r.XNorms[j])
+			fmt.Fprintf(w, "|%.3f/%.3f", r.Residuals[j], r.XNorms[j])
 		}
-		fmt.Fprintln(h)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	})
 }
 
-// StreamExpected reconciles a streaming transcript against the server's
-// counters. Without chaos every figure is exact. With chaos, response
-// cuts leave the server free to process rounds the client never saw, so
-// the round/alarm counters reconcile as bounds: the server must have
-// processed at least every verdict a client received and at most every
-// round that was sent.
+// StreamExpected is the client-side tally of a streaming transcript's
+// server counters. Without chaos every figure is exact. With chaos,
+// response cuts leave the server free to process rounds the client
+// never saw, so the round and alarm counters become bounds: the server
+// must have processed at least every verdict a client received and at
+// most every round that was sent.
 type StreamExpected struct {
 	Exact            bool
 	ReqSessions      int64
@@ -351,6 +346,7 @@ type StreamExpected struct {
 	RoundsSent       int64
 	VerdictsSeen     int64
 	Alarms           int64
+	AlarmsSeen       int64
 	MutUpdates       int64
 	MutDowndates     int64
 	Mismatches       int64
@@ -377,6 +373,7 @@ func (t *StreamTranscript) Expected() StreamExpected {
 		e.RoundsSent += int64(r.RoundsSent)
 		e.VerdictsSeen += int64(r.Verdicts)
 		e.Alarms += int64(r.ExpAlarms)
+		e.AlarmsSeen += int64(r.Alarms)
 		for _, m := range r.Mutations {
 			switch m {
 			case "rank1-update", "sparse-append":
@@ -392,36 +389,27 @@ func (t *StreamTranscript) Expected() StreamExpected {
 	return e
 }
 
-// Reconcile compares the expectation against live server metrics
-// (assumed to belong to this run alone) and returns one message per
-// mismatch.
-func (e StreamExpected) Reconcile(m *serve.Metrics) []string {
-	var out []string
-	check := func(name string, got, want int64) {
-		if got != want {
-			out = append(out, fmt.Sprintf("%s = %d, want %d", name, got, want))
-		}
-	}
-	check("ReqSessions", m.ReqSessions.Load(), e.ReqSessions)
-	check("ReqRounds", m.ReqRounds.Load(), e.ReqRounds)
-	check("ReqSessionDelete", m.ReqSessionDelete.Load(), e.ReqSessionDelete)
-	check("SessionsOpened", m.SessionsOpened.Load(), e.SessionsOpened)
-	check("SessionsClosed", m.SessionsClosed.Load(), e.SessionsClosed)
-	check("PathMutations[update]", m.PathMutations.With("rank1-update").Load(), e.MutUpdates)
-	check("PathMutations[downdate]", m.PathMutations.With("rank1-downdate").Load(), e.MutDowndates)
+// Wants lists the counter deltas the run must leave on /metrics: all
+// exact without chaos, the session round and alarm counts bounded with
+// it. Verdict mismatches are client-side and not among them; check
+// Mismatches alongside.
+func (e StreamExpected) Wants() []Want {
+	rounds := Want{Series: "tomographyd_session_rounds_total", Min: e.VerdictsSeen, Max: e.RoundsSent}
+	alarms := Want{Series: "tomographyd_session_alarms_total", Min: e.AlarmsSeen, Max: e.Alarms}
 	if e.Exact {
-		check("SessionRounds", m.SessionRounds.Load(), e.RoundsSent)
-		check("SessionAlarms", m.SessionAlarms.Load(), e.Alarms)
-	} else {
-		if got := m.SessionRounds.Load(); got < e.VerdictsSeen || got > e.RoundsSent {
-			out = append(out, fmt.Sprintf("SessionRounds = %d outside [%d, %d]",
-				got, e.VerdictsSeen, e.RoundsSent))
-		}
+		rounds.Min, alarms.Min = rounds.Max, alarms.Max
 	}
-	if e.Mismatches != 0 {
-		out = append(out, fmt.Sprintf("%d server/client verdict mismatches", e.Mismatches))
+	return []Want{
+		exactWant(`tomographyd_requests_total{route="sessions"}`, e.ReqSessions),
+		exactWant(`tomographyd_requests_total{route="rounds"}`, e.ReqRounds),
+		exactWant(`tomographyd_requests_total{route="session_delete"}`, e.ReqSessionDelete),
+		exactWant("tomographyd_sessions_opened_total", e.SessionsOpened),
+		exactWant("tomographyd_sessions_closed_total", e.SessionsClosed),
+		exactWant(`tomographyd_path_mutations_total{method="rank1-update"}`, e.MutUpdates),
+		exactWant(`tomographyd_path_mutations_total{method="rank1-downdate"}`, e.MutDowndates),
+		rounds,
+		alarms,
 	}
-	return out
 }
 
 // Summary renders a human-readable run report.
@@ -529,13 +517,33 @@ func RunStream(ctx context.Context, cfg StreamConfig) (*StreamTranscript, error)
 		}()
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
+	if cfg.Chaos.Enabled() {
+		awaitStreamsDone(ctx, setup)
+	}
 	return &StreamTranscript{
 		Seed:     cfg.Seed,
 		Chaos:    cfg.Chaos.String(),
 		Workers:  cfg.workers(),
 		Sessions: records,
-		Elapsed:  time.Since(start),
+		Elapsed:  elapsed,
 	}, nil
+}
+
+// awaitStreamsDone polls /metrics, for up to ten seconds, until every
+// rounds request the daemon accepted has returned. A stream whose
+// response chaos cut runs on server-side until a write fails, and only
+// then adds its rounds to the session counters.
+func awaitStreamsDone(ctx context.Context, c *Client) {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	for ctx.Err() == nil {
+		m, err := c.MetricsSnapshot(ctx)
+		if err != nil || m[`tomographyd_requests_total{route="rounds"}`] == m[`tomographyd_stage_latency_seconds_count{stage="http.rounds"}`] {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // plan chunks the session's rounds into NDJSON lines of at most

@@ -43,6 +43,7 @@ func TestStreamDigestWorkerInvariance(t *testing.T) {
 	var digests []string
 	for _, workers := range []int{1, 4, 8} {
 		h := newStreamHarness(t, scenarios)
+		pre := scrape(t, h.URL())
 		tr, err := RunStream(context.Background(), StreamConfig{
 			BaseURL:          h.URL(),
 			Scenarios:        scenarios,
@@ -68,8 +69,8 @@ func TestStreamDigestWorkerInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: churn did %d updates / %d downdates, want 6/6",
 				workers, e.MutUpdates, e.MutDowndates)
 		}
-		if msgs := e.Reconcile(h.Metrics()); len(msgs) != 0 {
-			t.Fatalf("workers=%d: transcript does not reconcile: %v", workers, msgs)
+		if msgs := Reconcile(e.Wants(), pre, scrape(t, h.URL())); len(msgs) != 0 || e.Mismatches != 0 {
+			t.Fatalf("workers=%d: transcript does not reconcile (%d verdict mismatches): %v", workers, e.Mismatches, msgs)
 		}
 		digests = append(digests, tr.Digest())
 	}
@@ -89,8 +90,9 @@ func TestStreamDigestWorkerInvariance(t *testing.T) {
 // severed response leaves the server ahead of the client.
 func TestStreamChaosMidStream(t *testing.T) {
 	scenarios := buildKinds(t, 1, KindClean, KindStealthy, KindChosenVictim)
-	run := func() (*StreamTranscript, *Harness) {
+	run := func() (*StreamTranscript, []string) {
 		h := newStreamHarness(t, scenarios)
+		pre := scrape(t, h.URL())
 		tr, err := RunStream(context.Background(), StreamConfig{
 			BaseURL:          h.URL(),
 			Scenarios:        scenarios,
@@ -105,9 +107,9 @@ func TestStreamChaosMidStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr, h
+		return tr, Reconcile(tr.Expected().Wants(), pre, scrape(t, h.URL()))
 	}
-	tr1, h1 := run()
+	tr1, msgs := run()
 	tr2, _ := run()
 	if d1, d2 := tr1.Digest(), tr2.Digest(); d1 != d2 {
 		t.Fatalf("chaotic stream transcript is not seed-deterministic:\n  %s\n  %s", d1, d2)
@@ -117,7 +119,7 @@ func TestStreamChaosMidStream(t *testing.T) {
 	if e.Mismatches != 0 {
 		t.Fatalf("%d verdicts disagreed with the client-side precomputation", e.Mismatches)
 	}
-	if msgs := e.Reconcile(h1.Metrics()); len(msgs) != 0 {
+	if len(msgs) != 0 {
 		t.Fatalf("chaotic transcript does not reconcile: %v", msgs)
 	}
 
@@ -241,6 +243,7 @@ func TestGoldenStreamTranscript(t *testing.T) {
 	var digests []string
 	for _, workers := range []int{1, 4, 8} {
 		h := newStreamHarness(t, scenarios)
+		pre := scrape(t, h.URL())
 		tr, err := RunStream(context.Background(), StreamConfig{
 			BaseURL:          h.URL(),
 			Scenarios:        scenarios,
@@ -254,8 +257,9 @@ func TestGoldenStreamTranscript(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msgs := tr.Expected().Reconcile(h.Metrics()); len(msgs) != 0 {
-			t.Fatalf("workers=%d: golden stream run does not reconcile: %v", workers, msgs)
+		e := tr.Expected()
+		if msgs := Reconcile(e.Wants(), pre, scrape(t, h.URL())); len(msgs) != 0 || e.Mismatches != 0 {
+			t.Fatalf("workers=%d: golden stream run does not reconcile (%d verdict mismatches): %v", workers, e.Mismatches, msgs)
 		}
 		digests = append(digests, tr.Digest())
 		last = tr

@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/la"
 	"repro/internal/mc"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/tomo"
 )
@@ -95,18 +94,18 @@ func LossStudy(cfg LossStudyConfig) (*LossStudyResult, error) {
 	trueX := make(la.Vector, nLinks)
 	for i := range ratios {
 		ratios[i] = 0.99 + rng.Float64()*0.009
-		x, err := metrics.Loss.ToAdditive(ratios[i])
+		x, err := lossToAdditive(ratios[i])
 		if err != nil {
 			return nil, err
 		}
 		trueX[i] = x
 	}
 
-	thLower, err := metrics.Loss.ToAdditive(lossNormalRatio)
+	thLower, err := lossToAdditive(lossNormalRatio)
 	if err != nil {
 		return nil, err
 	}
-	thUpper, err := metrics.Loss.ToAdditive(lossAbnormalRatio)
+	thUpper, err := lossToAdditive(lossAbnormalRatio)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +149,7 @@ func LossStudy(cfg LossStudyConfig) (*LossStudyResult, error) {
 		return nil, err
 	}
 	for l := 0; l < nLinks; l++ {
-		errAbs := math.Abs(metrics.Loss.FromAdditive(xhat[l]) - ratios[l])
+		errAbs := math.Abs(lossFromAdditive(xhat[l]) - ratios[l])
 		if errAbs > out.CleanMaxRatioErr {
 			out.CleanMaxRatioErr = errAbs
 		}
@@ -210,7 +209,7 @@ func LossStudy(cfg LossStudyConfig) (*LossStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.VictimEstimatedRatio = metrics.Loss.FromAdditive(xhatAtk[victim])
+	out.VictimEstimatedRatio = lossFromAdditive(xhatAtk[victim])
 	out.VictimTrueRatio = ratios[victim]
 	out.VictimAbnormal = th.Classify(xhatAtk[victim]) == tomo.Abnormal
 	out.AttackersNormal = true
@@ -252,3 +251,17 @@ func (r *LossStudyResult) String() string {
 	fmt.Fprintf(&b, "detector (α=%.4f in −log domain): detected=%v\n", r.Alpha, r.Detected)
 	return b.String()
 }
+
+// lossToAdditive maps a delivery (success) ratio r ∈ (0,1] to its
+// additive form −ln r ≥ 0. Delivery ratios multiply along a path, so
+// they add in the −log domain (Section II-A, citing Castro et al.) and
+// fit the linear model y = R·x.
+func lossToAdditive(r float64) (float64, error) {
+	if r <= 0 || r > 1 || math.IsNaN(r) {
+		return 0, fmt.Errorf("experiment: delivery ratio %g not in (0,1]", r)
+	}
+	return -math.Log(r), nil
+}
+
+// lossFromAdditive inverts lossToAdditive: exp(−x).
+func lossFromAdditive(x float64) float64 { return math.Exp(-x) }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 func TestLossStudyEndToEnd(t *testing.T) {
@@ -56,5 +59,54 @@ func TestLossStudyDeterministic(t *testing.T) {
 	}
 	if a.VictimEstimatedRatio != b.VictimEstimatedRatio || a.Alpha != b.Alpha {
 		t.Error("LossStudy not deterministic for equal seeds")
+	}
+}
+
+func TestLossToAdditive(t *testing.T) {
+	got, err := lossToAdditive(1)
+	if err != nil || got != 0 {
+		t.Errorf("lossToAdditive(1) = %g, %v; want 0", got, err)
+	}
+	got, err = lossToAdditive(0.5)
+	if err != nil || math.Abs(got-math.Ln2) > 1e-12 {
+		t.Errorf("lossToAdditive(0.5) = %g, %v; want ln2", got, err)
+	}
+	for _, bad := range []float64{0, -0.5, 1.5, math.NaN()} {
+		if _, err := lossToAdditive(bad); err == nil {
+			t.Errorf("lossToAdditive(%g) accepted", bad)
+		}
+	}
+}
+
+func TestLossRoundTripProperty(t *testing.T) {
+	// Property: lossFromAdditive ∘ lossToAdditive is identity on (0,1].
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := math.Nextafter(0, 1) + rng.Float64()*(1-1e-9)
+		a, err := lossToAdditive(r)
+		if err != nil {
+			return false
+		}
+		return math.Abs(lossFromAdditive(a)-r) < 1e-12
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestLossAdditivityProperty(t *testing.T) {
+	// Property: the additive form of a product of ratios is the sum of
+	// the additive forms — the reason tomography works for loss at all.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r1 := 0.1 + rng.Float64()*0.9
+		r2 := 0.1 + rng.Float64()*0.9
+		a1, _ := lossToAdditive(r1)
+		a2, _ := lossToAdditive(r2)
+		a12, _ := lossToAdditive(r1 * r2)
+		return math.Abs(a12-(a1+a2)) < 1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -8,97 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestSolveLUKnownSystem(t *testing.T) {
-	a, _ := NewMatrixFrom(3, 3, []float64{
-		2, 1, 1,
-		1, 3, 2,
-		1, 0, 0,
-	})
-	b := Vector{4, 5, 6}
-	x, err := SolveLU(a, b)
-	if err != nil {
-		t.Fatalf("SolveLU: %v", err)
-	}
-	ax, _ := a.MulVec(x)
-	if !ax.Equal(b, 1e-10) {
-		t.Errorf("A·x = %v, want %v", ax, b)
-	}
-}
-
-func TestSolveLUSingular(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{1, 2, 2, 4})
-	if _, err := SolveLU(a, Vector{1, 1}); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
-func TestFactorLUNonSquare(t *testing.T) {
-	a := NewMatrix(2, 3)
-	if _, err := FactorLU(a); !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{3, 1, 4, 2})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatalf("FactorLU: %v", err)
-	}
-	if got := f.Det(); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Det = %g, want 2", got)
-	}
-}
-
-func TestLUSolveRHSLength(t *testing.T) {
-	f, err := FactorLU(Identity(2))
-	if err != nil {
-		t.Fatalf("FactorLU: %v", err)
-	}
-	if _, err := f.Solve(Vector{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a, _ := NewMatrixFrom(3, 3, []float64{
-		4, 7, 2,
-		3, 6, 1,
-		2, 5, 3,
-	})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatalf("Inverse: %v", err)
-	}
-	prod, _ := a.Mul(inv)
-	if !prod.Equal(Identity(3), 1e-10) {
-		t.Errorf("A·A⁻¹ = %v, want identity", prod)
-	}
-}
-
-func TestLUSolveRoundTripProperty(t *testing.T) {
-	// Property: for well-conditioned random A (diagonally dominated),
-	// Solve(A·x) recovers x.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10)
-		a := randomMatrix(rng, n, n)
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n)+1)
-		}
-		x := randomVector(rng, n)
-		b, _ := a.MulVec(x)
-		got, err := SolveLU(a, b)
-		if err != nil {
-			return false
-		}
-		return got.Equal(x, 1e-7)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCholeskySolve(t *testing.T) {
 	// A = BᵀB + I is SPD for any B.
 	rng := rand.New(rand.NewSource(7))

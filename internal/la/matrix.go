@@ -1,5 +1,5 @@
 // Package la implements the dense linear algebra needed by network
-// tomography: matrices, vectors, LU/Cholesky/QR factorizations,
+// tomography: matrices, vectors, Cholesky/QR factorizations,
 // least-squares solves, and numerical rank.
 //
 // The Go standard library has no matrix support, so everything here is

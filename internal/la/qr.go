@@ -14,7 +14,7 @@ type QR struct {
 }
 
 // FactorQR computes the Householder QR factorization of a (m ≥ n
-// required). Unlike LU, the factorization itself succeeds for
+// required). Unlike Cholesky on AᵀA, the factorization itself succeeds for
 // rank-deficient input; rank deficiency surfaces in Solve.
 func FactorQR(a *Matrix) (*QR, error) {
 	m, n := a.rows, a.cols
@@ -187,4 +187,12 @@ func NormalEquationOperator(r *Matrix) (*Matrix, error) {
 		return nil, err
 	}
 	return f.Operator()
+}
+
+func swapRows(m *Matrix, i, j int) {
+	ri := m.data[i*m.cols : (i+1)*m.cols]
+	rj := m.data[j*m.cols : (j+1)*m.cols]
+	for k := range ri {
+		ri[k], rj[k] = rj[k], ri[k]
+	}
 }

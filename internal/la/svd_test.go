@@ -88,8 +88,7 @@ func TestSVDRankDetectsDeficiency(t *testing.T) {
 
 func TestSVDMatchesRankAndCondition(t *testing.T) {
 	// Property: SVD rank agrees with Gaussian-elimination Rank, and the
-	// SVD condition number agrees with the power-iteration estimate on
-	// full-rank draws.
+	// condition number is +Inf exactly when the draw is rank-deficient.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(4)
@@ -102,15 +101,35 @@ func TestSVDMatchesRankAndCondition(t *testing.T) {
 		if s.Rank(0) != Rank(a) {
 			return false
 		}
-		if s.Rank(0) < n {
-			return true
-		}
-		est, err := ConditionEst(a, 400)
+		return math.IsInf(s.Condition(), 1) == (s.Sigma[n-1] == 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestConditionBoundsProperty(t *testing.T) {
+	// Property: κ ≥ 1, and σ₁ bounds the gain ‖A·x‖ ≤ σ₁‖x‖ for random x.
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(5)
+		m := n + rng.Intn(4)
+		a := randomMatrix(rng, m, n)
+		s, err := FactorSVD(a)
 		if err != nil {
-			return true // power iteration rejected a near-singular draw
+			return false
 		}
-		exact := s.Condition()
-		return math.Abs(est-exact) < 0.05*exact
+		if s.Condition() < 1-1e-12 {
+			return false
+		}
+		for k := 0; k < 5; k++ {
+			x := randomVector(rng, n)
+			ax, _ := a.MulVec(x)
+			if ax.Norm2() > s.Sigma[0]*x.Norm2()*(1+1e-9) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -15,8 +15,8 @@ var ErrDowndate = errors.New("la: rank-1 downdate leaves matrix indefinite")
 // updateDriftTol is the conditioning bound for incrementally maintained
 // factors: when min|diag(L)| / max|diag(L)| falls to this ratio the
 // factor certifies cond(R) ≥ 1e8 (the diagonal ratio of a triangular
-// factor bounds 1/cond from below), which matches the sparse route's
-// DefaultCondLimit. AddRow/RemoveRow then fall back to a cold dense
+// factor bounds 1/cond from below), the same 1e-8 relative gap at which
+// the sparse route's CondEst screen declares rank deficiency. AddRow/RemoveRow then fall back to a cold dense
 // refactorization — the oracle — instead of trusting accumulated
 // rotation error.
 const updateDriftTol = 1e-8

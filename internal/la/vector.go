@@ -10,9 +10,6 @@ import (
 // below never mutate their receiver unless documented.
 type Vector []float64
 
-// Zeros returns a zero vector of length n.
-func Zeros(n int) Vector { return make(Vector, n) }
-
 // Ones returns a vector of length n with every entry 1.
 func Ones(n int) Vector {
 	v := make(Vector, n)

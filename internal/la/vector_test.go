@@ -9,9 +9,6 @@ import (
 )
 
 func TestVectorConstructors(t *testing.T) {
-	if got := Zeros(3); !got.Equal(Vector{0, 0, 0}, 0) {
-		t.Errorf("Zeros(3) = %v", got)
-	}
 	if got := Ones(2); !got.Equal(Vector{1, 1}, 0) {
 		t.Errorf("Ones(2) = %v", got)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/la"
-	"repro/internal/metrics"
 	"repro/internal/tomo"
 	"repro/internal/topo"
 )
@@ -271,10 +270,7 @@ func TestRunLossWithAttack(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("no path through B")
 	}
-	mAdd, err := metrics.Loss.ToAdditive(0.5) // halve delivery
-	if err != nil {
-		t.Fatal(err)
-	}
+	mAdd := -math.Log(0.5) // halve delivery
 	m := make(la.Vector, len(paths))
 	m[idx] = mAdd
 	probs := make(la.Vector, f.G.NumLinks())

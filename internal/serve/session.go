@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"context"
+	"crypto/rand"
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -104,10 +106,24 @@ type sessionTable struct {
 	mu  sync.Mutex
 	m   map[string]*session
 	seq atomic.Int64
+	// prefix is drawn at random once per table, so IDs minted by
+	// different daemons do not collide behind one router, which pins
+	// sessions by ID fleet-wide.
+	prefix string
 }
 
 func newSessionTable() *sessionTable {
-	return &sessionTable{m: make(map[string]*session)}
+	var b [4]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// No entropy source: the clock still differs between processes.
+		binary.LittleEndian.PutUint32(b[:], uint32(time.Now().UnixNano()))
+	}
+	return &sessionTable{m: make(map[string]*session), prefix: hex.EncodeToString(b[:])}
+}
+
+// nextID mints a session ID unique to this process: s-<prefix>-<seq>.
+func (t *sessionTable) nextID() string {
+	return fmt.Sprintf("s-%s-%08d", t.prefix, t.seq.Add(1))
 }
 
 func (t *sessionTable) add(ss *session) {
@@ -395,7 +411,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	}
 	now := s.clock.Now()
 	ss := &session{
-		id:      fmt.Sprintf("s-%08d", s.sessions.seq.Add(1)),
+		id:      s.sessions.nextID(),
 		topo:    entry.Name,
 		created: now,
 		sys:     entry.Sys,

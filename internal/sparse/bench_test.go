@@ -88,24 +88,6 @@ func BenchmarkSparseCGLS(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseLSQR(b *testing.B) {
-	for _, links := range []int{1000, 10000, 100000} {
-		a, rhs := benchMatrix(links, links/5, 8, 4)
-		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := LSQR(a, rhs, Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Converged {
-					b.Fatal("did not converge")
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkSparseCondEst(b *testing.B) {
 	for _, links := range []int{1000, 10000, 100000} {
 		a, _ := benchMatrix(links, links/5, 8, 5)

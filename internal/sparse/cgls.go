@@ -15,8 +15,7 @@ var (
 	// normal-equations residual reached tolerance.
 	ErrNotConverged = errors.New("sparse: iterative solver did not converge")
 	// ErrIllConditioned means the solver detected (near-)rank-deficiency:
-	// a CGLS search direction fell into A's null space, or LSQR's running
-	// condition estimate crossed Options.CondLimit.
+	// a CGLS search direction fell into A's null space.
 	ErrIllConditioned = errors.New("sparse: system ill-conditioned or rank-deficient")
 )
 
@@ -24,23 +23,16 @@ var (
 // of ‖Aᵀ(b−Ax)‖; tighter than estimation noise ever warrants, so the
 // iterative estimate is interchangeable with the dense one at test
 // tolerances.
-const (
-	DefaultTol       = 1e-10
-	DefaultCondLimit = 1e8
-)
+const DefaultTol = 1e-10
 
-// Options configures CGLS and LSQR.
+// Options configures CGLS.
 type Options struct {
 	// Tol is the relative convergence tolerance on the normal-equations
 	// residual: stop when ‖Aᵀr‖ ≤ Tol·‖Aᵀb‖. 0 selects DefaultTol.
 	Tol float64
 	// MaxIter is the iteration budget. 0 selects 2·cols + 100.
 	MaxIter int
-	// CondLimit (LSQR only) aborts with ErrIllConditioned when the
-	// running estimate of cond(A) exceeds it. 0 selects
-	// DefaultCondLimit.
-	CondLimit float64
-	// X0 (CGLS only) warm-starts the iteration from a prior solution
+	// X0 warm-starts the iteration from a prior solution
 	// instead of zero — the streaming-rounds amortization: consecutive
 	// measurement rounds differ by one perturbation, so the previous
 	// round's x̂ is already near the new minimizer and the iteration
@@ -65,13 +57,6 @@ func (o Options) maxIter(cols int) int {
 	return o.MaxIter
 }
 
-func (o Options) condLimit() float64 {
-	if o.CondLimit <= 0 {
-		return DefaultCondLimit
-	}
-	return o.CondLimit
-}
-
 // Result reports an iterative least-squares solve.
 type Result struct {
 	// X is the solution iterate (the least-squares estimate on
@@ -84,9 +69,6 @@ type Result struct {
 	// NormalResidual is ‖Aᵀ(b − A·X)‖₂, the optimality measure the
 	// stopping rule tests (zero exactly at the least-squares solution).
 	NormalResidual float64
-	// ANorm and ACond are LSQR's running estimates of ‖A‖F and cond(A)
-	// (zero for CGLS, which does not estimate them).
-	ANorm, ACond float64
 	// Converged records whether the stopping tolerance was met.
 	Converged bool
 }

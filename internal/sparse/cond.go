@@ -176,3 +176,9 @@ func normalize(v la.Vector) {
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func scale(v la.Vector, s float64) {
+	for i := range v {
+		v[i] *= s
+	}
+}

@@ -4,7 +4,7 @@
 // (10⁵ links) the dense P×L matrix, the L×L Gram matrix, and the dense
 // estimation operator T = (RᵀR)⁻¹Rᵀ are all unaffordable, while the CSR
 // form costs O(nnz) and the normal equations can be applied — never
-// formed — by two sparse matvecs per iteration of CGLS/LSQR.
+// formed — by two sparse matvecs per iteration of CGLS.
 //
 // Determinism contract: every kernel in this package accumulates in a
 // fixed order (row-major over the stored nonzeros, input order for
@@ -214,19 +214,6 @@ func (m *CSR) MulVecTInto(dst, y la.Vector) error {
 		}
 	}
 	return nil
-}
-
-// RowNorms returns the Euclidean norm of each row.
-func (m *CSR) RowNorms() la.Vector {
-	out := make(la.Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * m.val[k]
-		}
-		out[i] = math.Sqrt(s)
-	}
-	return out
 }
 
 // ColNorms returns the Euclidean norm of each column. A zero entry

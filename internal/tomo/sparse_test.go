@@ -211,7 +211,7 @@ func TestSparseUncoveredLinkRejected(t *testing.T) {
 
 func TestSparseNonConvergenceSurfaces(t *testing.T) {
 	_, sp := fig1SparsePair(t)
-	sp.SetSparseOptions(sparse.Options{Tol: 1e-15, MaxIter: 1, CondLimit: 1e30})
+	sp.SetSparseOptions(sparse.Options{Tol: 1e-15, MaxIter: 1})
 	y := make(la.Vector, sp.NumPaths())
 	for i := range y {
 		y[i] = float64(i + 1)

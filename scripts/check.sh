@@ -18,87 +18,9 @@ go build ./...
 go vet ./...
 go test -race ./...
 
-# Fast full-stack smoke: Theorem 3 over live HTTP, chaos reconciliation,
-# eviction churn, and cancellation — the short-mode e2e contract.
-go test -short -race -run Smoke ./internal/e2e
-
-# Observability smoke: live /metrics lints clean under load, the trace
-# golden is byte-stable, and the serve instrumentation (request IDs,
-# trace ring, stage histograms, structured logs) holds under -race.
-go test -race -run 'TestObsSmoke|TestTraceGoldenDeterministic' ./internal/e2e
-go test -race -run 'TestMetricsExpositionLint|TestDebugTraces|TestEstimateTraceStructure|TestRequestID|TestRequestLogging|TestPprofMounted' ./internal/serve
-
-# Durability: the store's recovery paths (torn tails, corrupt records,
-# the compaction crash windows) and the kill/restart contracts at every
-# layer — store, daemon, e2e — under -race.
-go test -race -run 'TestTorn|TestCorrupt|TestCompaction|TestRecovery|TestSequenceRegression|TestConcurrentAppends|TestEvictThenRestart' ./internal/store
-go test -race -run 'TestRegistryPersists|TestStoreFailure|TestRestoreVerifies' ./internal/serve
-go test -race -run 'TestDaemonDataDirRestart|TestDaemonPreloadSkipsRecovered' ./cmd/tomographyd
-go test -race -run 'TestKillRestart' ./internal/e2e
-
-# Sparse substrate: CSR kernels and the matrix-free CGLS/LSQR/CondEst
-# stack under -race, the dense/sparse agreement and solver-selection
-# contracts in tomo, solver-cache sharing plus the ISP-scale acceptance
-# path in serve, the live-HTTP sparse round trip, and the backbone
-# generator's determinism.
-go test -race ./internal/sparse
-go test -race -run 'TestSparse|TestWeightedEstimateSuppressedOnSparse' ./internal/tomo ./internal/e2e
-go test -race -run 'TestRegisterSparseSystemFeedsSolverMetrics|TestSparseSolverCacheShared|TestRegisterISPScale' ./internal/serve
-go test -race -run 'TestBackbone' ./internal/topo ./cmd/topogen
-
-# Streaming: session lifecycle/reaping/shedding and the mutate-delete
-# races under -race, the fast NDJSON codec's byte-equivalence with
-# encoding/json (including the packed wire form), rank-1 vs cold
-# refactorization agreement, and the e2e stream harness — worker-count
-# digest invariance plus chaos cut mid-NDJSON-stream reconciliation.
-# (-short skips only the wall-clock speedup comparison, which is a
-# benchmark, not a race-safety gate.)
-go test -race -run 'TestSession|TestStreamRound|TestAppendStream|TestParseStream|TestPacked|TestAppendJSONFloat' ./internal/serve
-go test -race -run 'TestRank1|TestDowndate|TestUpdateShape|TestEstimateBatch|TestAddRemovePath' ./internal/la ./internal/tomo
-go test -short -race -run 'TestStream|TestGoldenStream|TestRunStream' ./internal/e2e ./cmd/tomoload
-
-# Dynamic-network churn: the scenario DSL compiler, mid-run topology
-# swaps, the five-epoch campaign replay (golden digest, worker-count
-# invariance) and the eviction/WAL-reconcile race under -race, plus the
-# defender-stale-matrix study and the tomoload -churn-script CLI path.
-go test -race ./internal/netsim
-go test -race -run 'TestCompileAttack|TestFlapPath|TestRunEpochs' ./internal/campaign
-go test -short -race -run 'TestChurn|TestGoldenChurn|TestSessionSurvivesEvictionChurn|TestEvictionRaceWALReconcile' ./internal/e2e
-go test -race -run 'TestStaleStudy|TestGoldenStaleStudy' ./internal/experiment
-go test -race -run 'TestRunChurnScript' ./cmd/tomoload
-
-# Forensics observatory: the sketch/ledger/exemplar determinism
-# contracts and the detect observer hook under -race, the extended
-# exposition lint (histogram bucket ordering) against a live /metrics
-# scrape with the residual/suspicion families present, the forensics
-# endpoint lifecycle (epoch bumps on churn, exemplar↔trace linking,
-# streaming ingestion), the worker-count-invariant e2e golden, and the
-# tomoload -report reconcile (client-rebuilt quantiles must match the
-# server sketch exactly under chaos off).
-go test -race ./internal/forensics/... ./internal/obs/...
-go test -race -run 'TestForensics|TestMetricsExpositionLint|TestLint' ./internal/serve ./internal/obs
-go test -race -run 'TestGoldenForensicsSnapshot' ./internal/e2e
-go test -race -run 'TestRunReportForensicsExact|TestRunStreamReportForensics' ./cmd/tomoload
-
-# Sharded cluster: the consistent-hash placement ring and failover-order
-# invariants, WAL shipping (frame-identical journals, snapshot resync,
-# compaction racing a live tail reader) at the store layer, role wiring
-# (421 on follower writes, digest-verified apply, promotion, healthz
-# role fields) in serve, the router contracts (placement, read retry,
-# durable write failover, sticky sessions, fan reads) under -race, the
-# two-daemon follower lifecycle, the tomorouter CLI, and the fleet soak:
-# transcript digest byte-identical across worker AND shard counts, with
-# a mid-soak primary kill promoting a warm follower at zero write loss.
-go test -race ./internal/cluster ./cmd/tomorouter
-go test -race -run 'TestReplication|TestFollowerJournal|TestApplyRecord|TestInstallSnapshot|TestCompactionRaces|TestSinceSkips' ./internal/store
-go test -race -run 'TestReplication|TestFollowerRejects|TestPromote|TestApplyReplicated|TestHealthz|TestForensicsEvictUnbinds' ./internal/serve
-go test -race -run 'TestDaemonFollower' ./cmd/tomographyd
-go test -race -run 'TestFleet' ./internal/e2e
-
 go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/lp
 go test -run='^$' -fuzz=FuzzParseEdgeList -fuzztime=10s ./internal/graph
 go test -run='^$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/store
 go test -run='^$' -fuzz=FuzzCSRFromTriplets -fuzztime=10s ./internal/sparse
 
 go test -run='^$' -bench=. -benchtime=1x ./...
-
