@@ -24,8 +24,8 @@
 // campaign: the scenario DSL schedules link failures, path flaps,
 // monitor churn, and attacker windows on a virtual clock, and each
 // routing epoch takes the cheapest correct route against the daemon
-// (evict + re-register on structural churn, session rank-1 path
-// mutations on flap-only churn, no-op on attack boundaries). The value
+// (evict + re-register on structural churn, session path mutations
+// on flap-only churn, no-op on attack boundaries). The value
 // is the builtin script name "five-epoch" or a path to a JSON script
 // file. Every server verdict is checked against a local precomputation
 // and the transcript digest is invariant under -workers.

@@ -144,7 +144,7 @@ func ParseChurnScript(r io.Reader) (*ChurnScript, error) {
 // then fail → flap → attacker window → monitor migration → recover,
 // four rounds per epoch. The flap and the attack window share the
 // failed-link regime, so those boundaries exercise the session
-// rank-1 mutation route while the fail/migrate/recover boundaries
+// path-mutation route while the fail/migrate/recover boundaries
 // exercise DELETE + re-register.
 //
 // The monitor churn is a migration (M1 leaves, A joins) rather than a

@@ -22,7 +22,7 @@ const (
 	// a fresh session (the old one is closed and drains cleanly).
 	RouteReregister = "reregister"
 	// RouteMutate is a paths-only boundary: the open session absorbs
-	// the delta through POST .../paths rank-1 mutations.
+	// the delta through POST .../paths mutations.
 	RouteMutate = "mutate"
 	// RouteHold is an attack-window-only boundary: routing untouched,
 	// no API call at all.
@@ -35,8 +35,8 @@ type EpochRecord struct {
 	Tag   string
 	Route string
 	// Mutations lists the solver-derivation methods the session
-	// reported for each paths mutation (mutate route only) — e.g.
-	// "rank1-update", "rank1-downdate".
+	// reported for each paths mutation (mutate route only) — "refactor"
+	// on every served topology.
 	Mutations []string
 	// RegStatus / EvictStatus are the HTTP statuses of the epoch's
 	// registration and eviction (0 when the route performs none).
@@ -295,9 +295,9 @@ func runSessionRounds(ctx context.Context, client *Client, session *SessionHandl
 
 // tally folds server verdicts into the epoch record, counting alarms
 // and disagreements with the precomputed expectation. Residual
-// comparison is quantized like the digest (1e-3): the server may reach
-// its solution through a rank-1-updated factorization rather than a
-// fresh solve.
+// comparison is quantized like the digest (1e-3): the server solves
+// through its own sparse factor, which agrees with the client's dense
+// precomputation only to rounding.
 func tally(rounds []Round, verdicts []bool, rec *EpochRecord) {
 	for i, v := range verdicts {
 		if v {

@@ -223,7 +223,7 @@ type StreamConfig struct {
 	Chaos ChaosConfig
 	// PathChurn, when positive, splits each session's stream into
 	// PathChurn+1 requests and performs an add+remove path round trip
-	// between consecutive requests, exercising the rank-1 update path
+	// between consecutive requests, exercising the refactor route
 	// mid-stream.
 	PathChurn int
 }
@@ -310,8 +310,8 @@ type StreamTranscript struct {
 
 // Digest hashes the transcript's deterministic content in session-index
 // order. Residuals and estimate norms are quantized to 1e-3 so the
-// digest survives last-ulp float drift (including the ≤1e-10 factor
-// drift a rank-1 add+remove round trip leaves behind).
+// digest survives last-ulp float drift between the server's sparse
+// factor and the client's dense precomputation.
 func (t *StreamTranscript) Digest() string {
 	header := fmt.Sprintf("stream seed=%d chaos=%s sessions=%d", t.Seed, t.Chaos, len(t.Sessions))
 	return digestLines(header, len(t.Sessions), func(w io.Writer, i int) {
@@ -347,8 +347,7 @@ type StreamExpected struct {
 	VerdictsSeen     int64
 	Alarms           int64
 	AlarmsSeen       int64
-	MutUpdates       int64
-	MutDowndates     int64
+	Mutations        int64
 	Mismatches       int64
 }
 
@@ -375,11 +374,8 @@ func (t *StreamTranscript) Expected() StreamExpected {
 		e.Alarms += int64(r.ExpAlarms)
 		e.AlarmsSeen += int64(r.Alarms)
 		for _, m := range r.Mutations {
-			switch m {
-			case "rank1-update", "sparse-append":
-				e.MutUpdates++
-			case "rank1-downdate", "coverage-screen":
-				e.MutDowndates++
+			if m == "refactor" {
+				e.Mutations++
 			}
 		}
 		if r.VerdictMismatch {
@@ -405,8 +401,7 @@ func (e StreamExpected) Wants() []Want {
 		exactWant(`tomographyd_requests_total{route="session_delete"}`, e.ReqSessionDelete),
 		exactWant("tomographyd_sessions_opened_total", e.SessionsOpened),
 		exactWant("tomographyd_sessions_closed_total", e.SessionsClosed),
-		exactWant(`tomographyd_path_mutations_total{method="rank1-update"}`, e.MutUpdates),
-		exactWant(`tomographyd_path_mutations_total{method="rank1-downdate"}`, e.MutDowndates),
+		exactWant(`tomographyd_path_mutations_total{method="refactor"}`, e.Mutations),
 		rounds,
 		alarms,
 	}
@@ -428,7 +423,7 @@ func (t *StreamTranscript) Summary() string {
 		len(t.Sessions), t.Workers, t.Elapsed.Round(time.Millisecond), t.Seed, t.Chaos)
 	fmt.Fprintf(&b, "  rounds sent %d  verdicts %d  alarms expected %d\n",
 		e.RoundsSent, e.VerdictsSeen, e.Alarms)
-	fmt.Fprintf(&b, "  mutations +%d/-%d  mismatches %d\n", e.MutUpdates, e.MutDowndates, e.Mismatches)
+	fmt.Fprintf(&b, "  mutations %d  mismatches %d\n", e.Mutations, e.Mismatches)
 	for _, k := range sortedKeys(errs) {
 		fmt.Fprintf(&b, "  err %-9s %5d\n", k, errs[k])
 	}
@@ -578,7 +573,7 @@ func runSession(ctx context.Context, cfg StreamConfig, setup, streamc *Client, p
 		if si > 0 && p.churnWalk != nil {
 			// Churn point: append a duplicate path and remove it again,
 			// so the round shape is unchanged but the solver has been
-			// through a rank-1 update+downdate round trip.
+			// through an add+remove refactor round trip.
 			for _, req := range []serve.SessionPathsRequest{
 				{Add: p.churnWalk},
 				{Remove: intPtr(p.scenario.Sys.NumPaths())},

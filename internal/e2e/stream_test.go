@@ -65,9 +65,9 @@ func TestStreamDigestWorkerInvariance(t *testing.T) {
 		if e.Alarms == 0 {
 			t.Fatalf("workers=%d: chosen-victim sessions never tripped the detector", workers)
 		}
-		if e.MutUpdates != 6 || e.MutDowndates != 6 {
-			t.Fatalf("workers=%d: churn did %d updates / %d downdates, want 6/6",
-				workers, e.MutUpdates, e.MutDowndates)
+		if e.Mutations != 12 {
+			t.Fatalf("workers=%d: churn did %d path mutations, want 6 adds + 6 removes",
+				workers, e.Mutations)
 		}
 		if msgs := Reconcile(e.Wants(), pre, scrape(t, h.URL())); len(msgs) != 0 || e.Mismatches != 0 {
 			t.Fatalf("workers=%d: transcript does not reconcile (%d verdict mismatches): %v", workers, e.Mismatches, msgs)
@@ -271,9 +271,9 @@ func TestGoldenStreamTranscript(t *testing.T) {
 
 	e := last.Expected()
 	got := fmt.Sprintf(
-		"digest %s\nsessions %d rounds %d verdicts %d alarms %d\nmutations +%d/-%d mismatches %d\n",
+		"digest %s\nsessions %d rounds %d verdicts %d alarms %d\nmutations %d mismatches %d\n",
 		digests[0], len(last.Sessions), e.RoundsSent, e.VerdictsSeen, e.Alarms,
-		e.MutUpdates, e.MutDowndates, e.Mismatches)
+		e.Mutations, e.Mismatches)
 
 	path := filepath.Join("testdata", "stream.golden")
 	if *update {

@@ -57,7 +57,8 @@ type Tracer struct {
 	mu      sync.Mutex
 	ring    []*trace
 	cap     int
-	seq     int64
+	seq     int64 // trace IDs, taken at StartRoot
+	commits int64 // commit sequence, taken when a root span ends
 	dropped int64
 	hook    func(name string, d time.Duration)
 }
@@ -99,9 +100,13 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // trace is one request's span tree, completed when its root span ends.
+// Concurrent requests end in any order, so the ring holds traces in
+// commit order, numbered by commit under the ring lock; the ID, taken
+// at StartRoot, only identifies the trace.
 type trace struct {
-	id   int64
-	root *Span
+	id     int64
+	commit int64
+	root   *Span
 }
 
 // Attr is one key/value annotation on a span.
@@ -230,6 +235,8 @@ func (s *Span) End() {
 	s.tracer.mu.Lock()
 	hook := s.tracer.hook
 	if isRoot {
+		s.tracer.commits++
+		s.trace.commit = s.tracer.commits
 		s.tracer.ring = append(s.tracer.ring, s.trace)
 		if len(s.tracer.ring) > s.tracer.cap {
 			over := len(s.tracer.ring) - s.tracer.cap
@@ -269,15 +276,19 @@ type SpanDump struct {
 	Children []SpanDump        `json:"children,omitempty"`
 }
 
-// TraceDump is the JSON form of one completed trace.
+// TraceDump is the JSON form of one completed trace. Commit is its
+// position in commit order, for in-process callers; it is not part of
+// the JSON.
 type TraceDump struct {
-	ID    int64    `json:"id"`
-	DurUS int64    `json:"durUs"`
-	Root  SpanDump `json:"root"`
+	ID     int64    `json:"id"`
+	DurUS  int64    `json:"durUs"`
+	Root   SpanDump `json:"root"`
+	Commit int64    `json:"-"`
 }
 
-// Dump returns the last n completed traces, oldest first (n <= 0 means
-// all retained traces).
+// Dump returns the last n completed traces in commit order — the order
+// their root spans ended, oldest first (n <= 0 means all retained
+// traces). IDs are unique but, under concurrency, need not increase.
 func (t *Tracer) Dump(n int) []TraceDump {
 	t.mu.Lock()
 	ring := append([]*trace{}, t.ring...)
@@ -288,7 +299,7 @@ func (t *Tracer) Dump(n int) []TraceDump {
 	out := make([]TraceDump, len(ring))
 	for i, tr := range ring {
 		root := tr.root.dump(tr.root.start)
-		out[i] = TraceDump{ID: tr.id, DurUS: root.DurUS, Root: root}
+		out[i] = TraceDump{ID: tr.id, DurUS: root.DurUS, Root: root, Commit: tr.commit}
 	}
 	return out
 }

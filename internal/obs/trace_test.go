@@ -162,9 +162,16 @@ func TestTraceRingConcurrentDumpNoTornSpans(t *testing.T) {
 			if len(dumps) > 8 {
 				tornErr.Store(fmt.Sprintf("dump exceeded capacity: %d", len(dumps)))
 			}
-			for i := 1; i < len(dumps); i++ {
-				if dumps[i].ID <= dumps[i-1].ID {
-					tornErr.Store(fmt.Sprintf("dump IDs not increasing: %d then %d", dumps[i-1].ID, dumps[i].ID))
+			// Dump is in commit order: consecutive commit numbers, each
+			// trace ID appearing once.
+			ids := make(map[int64]bool, len(dumps))
+			for i, d := range dumps {
+				if ids[d.ID] {
+					tornErr.Store(fmt.Sprintf("trace ID %d dumped twice", d.ID))
+				}
+				ids[d.ID] = true
+				if i > 0 && d.Commit != dumps[i-1].Commit+1 {
+					tornErr.Store(fmt.Sprintf("dump not in commit order: commit %d then %d", dumps[i-1].Commit, d.Commit))
 				}
 			}
 		}

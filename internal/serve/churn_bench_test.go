@@ -11,10 +11,7 @@ import (
 )
 
 // churnBenchSystem builds a backbone measurement system at the given
-// link scale. tomo auto-selects the substrate: 1k links fits the dense
-// budget (rank-1 Cholesky mutations), 10k links goes sparse (CSR
-// rebuild + coverage screen) — so the two scales exercise both routes a
-// churn epoch can take.
+// link scale on the sparse route, the one every served topology takes.
 func churnBenchSystem(b *testing.B, links int) *tomo.System {
 	b.Helper()
 	g, err := topo.Backbone(int64(links), links)
@@ -25,7 +22,7 @@ func churnBenchSystem(b *testing.B, links int) *tomo.System {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := tomo.NewSystem(g, paths)
+	sys, err := tomo.NewSparseSystem(g, paths)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,8 +85,7 @@ func BenchmarkChurnReregister(b *testing.B) {
 // BenchmarkChurnMutate measures the flap-only epoch route: one session
 // paths round trip (AddPath of the rerouted walk, RemovePath of the
 // old index) against the same warm system the re-registration bench
-// uses. At 1k links this is the dense rank-1 update/downdate pair; at
-// 10k it is the sparse append + coverage-screened rebuild. Note the
+// uses: two refactors under the parent factor's ordering. Note the
 // comparison against BenchmarkChurnReregister is asymmetric: a flap
 // changes the routing matrix, so its digest misses the solver cache and
 // the re-registration alternative would pay a cold factorization — the

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/forensics"
 	"repro/internal/obs"
-	"repro/internal/tomo"
 )
 
 // Metrics is the daemon's observability state, built on the
@@ -56,9 +55,9 @@ type Metrics struct {
 	SessionAlarms  *obs.Counter // streamed rounds the detector flagged
 
 	// PathMutations counts session path add/remove operations by the
-	// solver-derivation route tomo reports ("rank1-update",
-	// "rank1-downdate", "refactor", "sparse-append", "coverage-screen",
-	// "cold") — the updating-vs-refactor decision made observable.
+	// solver-derivation route tomo reports: "refactor" (the parent
+	// factor's ordering reused, the route of every served system) or
+	// "cold".
 	PathMutations *obs.CounterVec
 
 	CacheHits   *obs.Counter // solver-cache hits at registration
@@ -75,13 +74,6 @@ type Metrics struct {
 	// amortized solve+verdict time inside session round streams, the
 	// number the batched API exists to shrink.
 	RoundLatency *obs.Histogram
-	// SolverIterations and SolverResidual record every iterative
-	// (sparse CGLS) solve: how many iterations it took and the final
-	// measurement-space residual norm ‖y − R·x̂‖₂. Dense Cholesky
-	// solves have no iteration count and do not observe here, so these
-	// histograms are exactly the sparse path's convergence telemetry.
-	SolverIterations *obs.Histogram
-	SolverResidual   *obs.Histogram
 	// stageLatency aggregates trace-span durations per stage name
 	// (tomographyd_stage_latency_seconds{stage="tomo.solve"} etc.),
 	// fed by the server tracer's span-end hook.
@@ -126,10 +118,6 @@ func NewMetrics() *Metrics {
 	m.Promotions = reg.Counter("tomographyd_replication_promotions_total", "Follower-to-primary promotions on this shard.")
 	m.EstimateLatency = reg.Histogram("tomographyd_estimate_latency_seconds", "Per-round estimate latency.", obs.DefaultLatencyBuckets)
 	m.RoundLatency = reg.Histogram("tomographyd_round_latency_seconds", "Amortized per-round latency inside session round streams.", obs.DefaultLatencyBuckets)
-	m.SolverIterations = reg.Histogram("tomographyd_solver_iterations", "Iterations per sparse (CGLS) solve.",
-		[]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500})
-	m.SolverResidual = reg.Histogram("tomographyd_solver_residual_norm", "Final residual norm per sparse (CGLS) solve.",
-		[]float64{1e-12, 1e-9, 1e-6, 1e-3, 1, 1e3})
 	m.stageLatency = reg.HistogramVec("tomographyd_stage_latency_seconds", "Trace-span duration by pipeline stage.", "stage", obs.DefaultLatencyBuckets)
 	obs.RegisterRuntime(reg)
 	return m
@@ -206,14 +194,6 @@ func (m *Metrics) trackForensics(t *forensics.Table) {
 			epoch.With(s.Name).Set(float64(s.Epoch))
 		}
 	})
-}
-
-// ObserveSolve records one iterative solve's convergence statistics —
-// installed as every registered system's solve observer, so the sparse
-// path's iteration counts and residual norms land on /metrics.
-func (m *Metrics) ObserveSolve(st tomo.SolveStats) {
-	m.SolverIterations.Observe(float64(st.Iterations))
-	m.SolverResidual.Observe(st.ResidualNorm)
 }
 
 // ObserveEstimate records one solve's wall-clock latency.

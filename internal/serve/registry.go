@@ -41,14 +41,14 @@ type Entry struct {
 	CacheHit bool
 }
 
-// solverCache shares solvers — dense normal-equation factorizations or
-// sparse iterative engines, whichever tomo selected — between systems
-// with identical routing matrices, keyed by tomo's R digest. The digest
-// is the invalidation key: any change to the topology or path set
-// changes R and therefore misses the cache, so stale solvers can never
-// be applied. Sparse solvers cache the identifiability screen (the
-// expensive CondEst pass), so re-registering an ISP-scale configuration
-// is warm just like the dense ~100–400x case.
+// solverCache shares solvers between systems with identical routing
+// matrices, keyed by tomo's R digest. The digest is the invalidation
+// key: any change to the topology or path set changes R and therefore
+// misses the cache, so stale solvers can never be applied. Every wire
+// topology is built on tomo's sparse route, so an entry is a sparse
+// Cholesky factor plus the CSR it factors — O(nnz(R) + nnz(L)), a few
+// kilobytes on the committed backbone fixtures — and a re-registration
+// skips ordering, factorization and the rank screen alike.
 type solverCache struct {
 	mu sync.Mutex
 	m  map[string]tomo.Solver
@@ -59,7 +59,7 @@ type solverCache struct {
 // adopt installs a cached solver into sys, or builds sys's solver and
 // caches the result. Reports whether the cache was hit. The lookup runs
 // under a "cache.adopt" span; a miss additionally produces the
-// factorization (or sparse-screen) span from tomo.SolverCtx.
+// factorization span from tomo.SolverCtx.
 func (c *solverCache) adopt(ctx context.Context, digest string, sys *tomo.System) (bool, error) {
 	ctx, span := obs.StartSpan(ctx, "cache.adopt")
 	defer span.End()
@@ -155,13 +155,6 @@ func (r *Registry) registerSystem(ctx context.Context, name string, sys *tomo.Sy
 		return nil, fmt.Errorf("%w: nil system", ErrBadRequest)
 	}
 	digest := sys.Digest()
-	if m := r.cache.metrics; m != nil {
-		// Feed every iterative solve's iteration count and residual
-		// norm into the solver histograms. Installed before the system
-		// is published to the entries map, so no handler can race the
-		// write.
-		sys.SetSolveObserver(m.ObserveSolve)
-	}
 	hit, err := r.cache.adopt(ctx, digest, sys)
 	if err != nil {
 		return nil, err
@@ -224,7 +217,11 @@ func (r *Registry) RegisterCtx(ctx context.Context, name string, edges [][]strin
 }
 
 // buildWireSystem assembles a tomography system from the wire format:
-// named edges and node-name walks.
+// named edges and node-name walks. Every served topology — registered,
+// recovered from the WAL or replayed by a follower — is built on the
+// sparse route, whatever its size: its solver is a sparse Cholesky
+// factor, so estimates, batches and session path mutations never touch
+// a dense array.
 func buildWireSystem(edges [][]string, paths [][]string) (*tomo.System, error) {
 	if len(edges) == 0 {
 		return nil, fmt.Errorf("%w: no edges", ErrBadRequest)
@@ -283,7 +280,7 @@ func buildWireSystem(edges [][]string, paths [][]string) (*tomo.System, error) {
 		}
 		walked = append(walked, p)
 	}
-	sys, err := tomo.NewSystem(g, walked)
+	sys, err := tomo.NewSparseSystem(g, walked)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

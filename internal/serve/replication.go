@@ -286,18 +286,34 @@ func (r *Registry) evictReplicated(name string) {
 }
 
 // ResetReplicated replaces the registry's entire contents with docs —
-// the registry side of a snapshot resync. Entries are rebuilt through
-// the same digest-verified restore path a warm start uses.
+// the registry side of a snapshot resync. An entry the snapshot carries
+// unchanged (same name, digest and threshold) stays registered and
+// serving throughout; only changed or new docs are rebuilt, through the
+// same digest-verified restore path a warm start uses, and names the
+// snapshot lacks are dropped. Emptying the registry first would answer
+// every read in the rebuild window with 404.
 func (r *Registry) ResetReplicated(ctx context.Context, docs []store.TopologyDoc) error {
+	keep := make(map[string]bool, len(docs))
+	var rebuild []store.TopologyDoc
+	for _, doc := range docs {
+		keep[doc.Name] = true
+		if e, err := r.Get(doc.Name); err == nil && doc.Digest != "" && e.Digest == doc.Digest && e.Det.Alpha() == doc.Alpha {
+			continue
+		}
+		r.evictReplicated(doc.Name)
+		rebuild = append(rebuild, doc)
+	}
 	r.mu.Lock()
 	for name := range r.entries {
-		delete(r.entries, name)
-		if r.forensics != nil {
-			r.forensics.Unbind(name)
+		if !keep[name] {
+			delete(r.entries, name)
+			if r.forensics != nil {
+				r.forensics.Unbind(name)
+			}
 		}
 	}
 	r.mu.Unlock()
-	if _, err := r.Restore(ctx, docs); err != nil {
+	if _, err := r.Restore(ctx, rebuild); err != nil {
 		return fmt.Errorf("serve: replication resync: %w", err)
 	}
 	return nil

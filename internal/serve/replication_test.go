@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -253,5 +254,45 @@ func TestApplyReplicatedVerifiesDigest(t *testing.T) {
 	}
 	if _, gerr := srv.Registry().Get("x"); gerr == nil {
 		t.Fatal("mismatched topology left registered")
+	}
+}
+
+// A snapshot resync keeps every entry the snapshot carries unchanged
+// registered the whole time — the same *Entry, never a 404 window —
+// while it drops names the snapshot lacks and rebuilds changed ones.
+func TestResetReplicatedKeepsUnchangedEntries(t *testing.T) {
+	edges, paths, _, _ := fig1Wire(t)
+	reg := NewRegistry(nil)
+	for _, name := range []string{"kept", "dropped", "changed"} {
+		if _, err := reg.Register(name, edges, paths, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept, err := reg.Get("kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(name string, alpha float64) store.TopologyDoc {
+		return store.TopologyDoc{Name: name, Edges: edges, Paths: paths, Alpha: alpha, Digest: kept.Digest}
+	}
+	changed := doc("changed", 2*kept.Det.Alpha())
+	if err := reg.ResetReplicated(context.Background(),
+		[]store.TopologyDoc{doc("kept", kept.Det.Alpha()), changed, doc("added", kept.Det.Alpha())}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reg.Get("kept"); err != nil || got != kept {
+		t.Fatalf("unchanged entry was rebuilt or dropped: %v", err)
+	}
+	if _, err := reg.Get("dropped"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("name missing from the snapshot survived: %v", err)
+	}
+	if got, err := reg.Get("changed"); err != nil || got.Det.Alpha() != changed.Alpha {
+		t.Fatalf("changed entry not rebuilt: %v", err)
+	}
+	if _, err := reg.Get("added"); err != nil {
+		t.Fatalf("new entry not registered: %v", err)
+	}
+	if got := reg.Names(); len(got) != 3 {
+		t.Fatalf("registry holds %v after the resync", got)
 	}
 }

@@ -379,9 +379,7 @@ type SessionPathsRequest struct {
 }
 
 // SessionPathsResponse reports a successful path mutation, including
-// which solver-derivation route tomo took ("rank1-update",
-// "rank1-downdate", "refactor", "sparse-append", "coverage-screen",
-// "cold").
+// which solver-derivation route tomo took ("refactor" or "cold").
 type SessionPathsResponse struct {
 	Session  string `json:"session"`
 	NumPaths int    `json:"numPaths"`

@@ -269,8 +269,8 @@ func TestSessionPathMutationOverHTTP(t *testing.T) {
 	}
 	var pr SessionPathsResponse
 	decodeInto(t, raw, &pr)
-	if pr.NumPaths != 24 || pr.Method != "rank1-update" {
-		t.Fatalf("add path response %+v, want 24 paths via rank1-update", pr)
+	if pr.NumPaths != 24 || pr.Method != "refactor" {
+		t.Fatalf("add path response %+v, want 24 paths via refactor", pr)
 	}
 	if pr.Digest == sr.Digest {
 		t.Fatal("digest unchanged after path add")
@@ -312,7 +312,7 @@ func TestSessionPathMutationOverHTTP(t *testing.T) {
 		t.Fatalf("remove path: %d %s", resp.StatusCode, raw)
 	}
 	decodeInto(t, raw, &pr)
-	if pr.NumPaths != 23 || pr.Method != "rank1-downdate" {
+	if pr.NumPaths != 23 || pr.Method != "refactor" {
 		t.Fatalf("remove path response %+v", pr)
 	}
 	if pr.Digest != sr.Digest {
@@ -322,8 +322,7 @@ func TestSessionPathMutationOverHTTP(t *testing.T) {
 	// Mutation methods are observable on /metrics.
 	mt := metricsText(t, ts)
 	for _, want := range []string{
-		`tomographyd_path_mutations_total{method="rank1-update"} 1`,
-		`tomographyd_path_mutations_total{method="rank1-downdate"} 1`,
+		`tomographyd_path_mutations_total{method="refactor"} 2`,
 	} {
 		if !strings.Contains(mt, want) {
 			t.Errorf("metrics missing %q", want)

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/la"
@@ -29,6 +31,9 @@ func backboneSparse(t testing.TB, seed int64, links, extra int) *tomo.System {
 	return sys
 }
 
+// Registering a sparse system factors it once, counting a solver-cache
+// miss; its estimates recover noise-free metrics to rounding, and the
+// direct solver has no iteration telemetry to export.
 func TestRegisterSparseSystemFeedsSolverMetrics(t *testing.T) {
 	m := NewMetrics()
 	reg := NewRegistry(m)
@@ -40,6 +45,9 @@ func TestRegisterSparseSystemFeedsSolverMetrics(t *testing.T) {
 	if e.Sys.Dense() {
 		t.Fatal("sparse system registered with a dense mirror")
 	}
+	if m.CacheMisses.Load() != 1 || m.CacheHits.Load() != 0 {
+		t.Errorf("cache hits/misses = %d/%d, want 0/1", m.CacheHits.Load(), m.CacheMisses.Load())
+	}
 	x := make(la.Vector, sys.NumLinks())
 	for i := range x {
 		x[i] = 1 + float64(i%7)/10
@@ -48,25 +56,23 @@ func TestRegisterSparseSystemFeedsSolverMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const solves = 4
-	for k := 0; k < solves; k++ {
-		if _, err := e.Sys.Estimate(y); err != nil {
+	for k := 0; k < 4; k++ {
+		xhat, err := e.Sys.Estimate(y)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := m.SolverIterations.Count(); got != solves {
-		t.Errorf("SolverIterations count = %d, want %d", got, solves)
-	}
-	if got := m.SolverResidual.Count(); got != solves {
-		t.Errorf("SolverResidual count = %d, want %d", got, solves)
+		if !xhat.Equal(x, 1e-12) {
+			t.Fatal("noise-free estimate did not recover the true metrics")
+		}
 	}
 	var b strings.Builder
 	m.WritePrometheus(&b)
 	text := b.String()
-	for _, metric := range []string{"tomographyd_solver_iterations", "tomographyd_solver_residual_norm"} {
-		if !strings.Contains(text, metric) {
-			t.Errorf("/metrics exposition missing %s", metric)
-		}
+	if !strings.Contains(text, "tomographyd_solver_cache_misses_total 1") {
+		t.Error("/metrics exposition missing the solver-cache miss")
+	}
+	if strings.Contains(text, "tomographyd_solver_iterations") {
+		t.Error("/metrics still exports iterative-solver telemetry")
 	}
 }
 
@@ -82,8 +88,8 @@ func TestSparseSolverCacheShared(t *testing.T) {
 		t.Error("first sparse registration hit the cache")
 	}
 	// Same topology recipe ⇒ same routing matrix ⇒ same digest: the
-	// second registration must adopt the cached sparse solver and skip
-	// the CondEst screen.
+	// second registration must adopt the cached sparse factor and skip
+	// ordering and factorization.
 	b := backboneSparse(t, 12, 300, 40)
 	e2, err := reg.RegisterSystem("b", b, 0)
 	if err != nil {
@@ -102,8 +108,7 @@ func TestSparseSolverCacheShared(t *testing.T) {
 
 // TestRegisterISPScale is the subsystem's acceptance check: register a
 // ≥100k-link backbone and run an estimate through the full registry
-// path without ever materializing a dense P×L or L×L operator, with the
-// solve statistics landing in the metrics histograms.
+// path without ever materializing a dense P×L or L×L operator.
 func TestRegisterISPScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ISP-scale registration skipped in -short mode")
@@ -133,10 +138,66 @@ func TestRegisterISPScale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Estimate at 100k links: %v", err)
 	}
-	if !xhat.Equal(x, 1e-5) {
+	if !xhat.Equal(x, 1e-9) {
 		t.Fatal("noise-free 100k-link estimate did not recover the true metrics")
 	}
-	if m.SolverIterations.Count() == 0 || m.SolverResidual.Count() == 0 {
-		t.Error("ISP-scale solve left no trace in the solver histograms")
+	if m.CacheMisses.Load() != 1 {
+		t.Errorf("cache misses = %d, want 1", m.CacheMisses.Load())
+	}
+}
+
+// Eight goroutines batch-estimate through one cached factor at once:
+// two registrations share it, and every goroutine's answers must equal
+// a sequential pass bit for bit. Run under -race this pins the factor
+// as immutable shared state.
+func TestCachedFactorConcurrentEstimateBatch(t *testing.T) {
+	reg := NewRegistry(NewMetrics())
+	a, err := reg.RegisterSystem("a", backboneSparse(t, 31, 3000, 300), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := reg.RegisterSystem("b", backboneSparse(t, 31, 3000, 300), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.CacheHit {
+		t.Fatal("second registration missed the solver cache")
+	}
+	ys := make([]la.Vector, 8)
+	for r := range ys {
+		ys[r] = make(la.Vector, a.Sys.NumPaths())
+		for i := range ys[r] {
+			ys[r][i] = float64((i*31+r*7)%17) + 0.5
+		}
+	}
+	want, err := a.Sys.EstimateBatch(ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(e *Entry) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				got, err := e.Sys.EstimateBatch(ys)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for r := range ys {
+					if !got[r].Equal(want[r], 0) {
+						errs <- fmt.Errorf("round %d differs from the sequential answer", r)
+						return
+					}
+				}
+			}
+		}([]*Entry{a, b}[g%2])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

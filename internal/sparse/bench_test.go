@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/la"
+	"repro/internal/topo"
 )
 
 // benchMatrix builds a routing-matrix-shaped CSR: an identity block
@@ -51,18 +52,73 @@ func BenchmarkSparseMulVec(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseGramApply(b *testing.B) {
-	for _, links := range []int{1000, 10000, 100000} {
-		a, _ := benchMatrix(links, links/5, 8, 2)
-		g := a.Gram()
-		x := make(la.Vector, links)
-		for i := range x {
-			x[i] = float64(i%5) - 2
+// backboneMatrix builds the routing matrix of topo.Backbone(31, links)
+// with BackbonePaths(links/10, 31) — the shape every served topology
+// has, and the fixture of the tomobench stream and churn workloads —
+// plus a noise-free right-hand side.
+func backboneMatrix(b *testing.B, links int) (*CSR, la.Vector) {
+	b.Helper()
+	g, err := topo.Backbone(31, links)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paths, err := topo.BackbonePaths(g, links/10, 31)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ts []Triplet
+	for i, p := range paths {
+		for _, l := range p.Links {
+			ts = append(ts, Triplet{Row: i, Col: int(l), Val: 1})
+		}
+	}
+	a, err := FromTriplets(len(paths), g.NumLinks(), ts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make(la.Vector, a.Cols())
+	for i := range x {
+		x[i] = 1 + float64(i%9)/10
+	}
+	y, err := a.MulVec(x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return a, y
+}
+
+var choleskyBenchLinks = []int{1000, 3000, 100000}
+
+// BenchmarkSparseCholeskyFactor times a cold factorization: ordering,
+// symbolic and numeric passes — what a registration that misses the
+// solver cache pays.
+func BenchmarkSparseCholeskyFactor(b *testing.B) {
+	for _, links := range choleskyBenchLinks {
+		a, _ := backboneMatrix(b, links)
+		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FactorCholesky(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSparseCholeskyRefactor times a factorization under a reused
+// ordering — what a session path add or remove pays.
+func BenchmarkSparseCholeskyRefactor(b *testing.B) {
+	for _, links := range choleskyBenchLinks {
+		a, _ := backboneMatrix(b, links)
+		c, err := FactorCholesky(a)
+		if err != nil {
+			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.Apply(x); err != nil {
+				if _, err := c.Refactor(a); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,31 +126,23 @@ func BenchmarkSparseGramApply(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseCGLS(b *testing.B) {
-	for _, links := range []int{1000, 10000, 100000} {
-		a, rhs := benchMatrix(links, links/5, 8, 3)
+// BenchmarkSparseCholeskySolve times one least-squares estimate against
+// a warm factor: Rᵀy plus two triangular solves.
+func BenchmarkSparseCholeskySolve(b *testing.B) {
+	for _, links := range choleskyBenchLinks {
+		a, y := backboneMatrix(b, links)
+		c, err := FactorCholesky(a)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := CGLS(a, rhs, Options{})
+				rty, err := a.MulVecT(y)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !res.Converged {
-					b.Fatal("did not converge")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSparseCondEst(b *testing.B) {
-	for _, links := range []int{1000, 10000, 100000} {
-		a, _ := benchMatrix(links, links/5, 8, 5)
-		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := CondEst(a, 0); err != nil {
+				if err := c.Solve(rty); err != nil {
 					b.Fatal(err)
 				}
 			}

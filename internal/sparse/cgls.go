@@ -15,7 +15,8 @@ var (
 	// normal-equations residual reached tolerance.
 	ErrNotConverged = errors.New("sparse: iterative solver did not converge")
 	// ErrIllConditioned means the solver detected (near-)rank-deficiency:
-	// a CGLS search direction fell into A's null space.
+	// a CGLS search direction fell into A's null space, or a Cholesky
+	// pivot of AᵀA failed the rank screen.
 	ErrIllConditioned = errors.New("sparse: system ill-conditioned or rank-deficient")
 )
 
@@ -32,15 +33,6 @@ type Options struct {
 	Tol float64
 	// MaxIter is the iteration budget. 0 selects 2·cols + 100.
 	MaxIter int
-	// X0 warm-starts the iteration from a prior solution
-	// instead of zero — the streaming-rounds amortization: consecutive
-	// measurement rounds differ by one perturbation, so the previous
-	// round's x̂ is already near the new minimizer and the iteration
-	// count collapses. The stopping rule still tests against ‖Aᵀb‖ (one
-	// extra transpose matvec when warm), so a warm solve converges to
-	// exactly the same tolerance as a cold one. X0 is not mutated; a
-	// length mismatch is an ErrShape error.
-	X0 la.Vector
 }
 
 func (o Options) tol() float64 {
@@ -77,8 +69,10 @@ type Result struct {
 // equations, applied matrix-free (two sparse matvecs per iteration,
 // AᵀA never formed). Starting from x = 0 the iterates stay in range(Aᵀ),
 // so on rank-deficient systems CGLS heads toward the minimum-norm
-// solution — rank deficiency is therefore detected separately (CondEst)
-// or via the breakdown guard, not assumed from convergence.
+// solution — rank deficiency is therefore detected separately (the
+// Cholesky pivot screen) or via the breakdown guard, not assumed from
+// convergence. CGLS is the independent iterative oracle for the direct
+// solver's tests and benchmarks.
 //
 // The iteration is deterministic: fixed summation order, no randomness,
 // no parallelism.
@@ -89,40 +83,15 @@ func CGLS(a *CSR, b la.Vector, opts Options) (*Result, error) {
 	tol, maxIter := opts.tol(), opts.maxIter(a.cols)
 	x := make(la.Vector, a.cols)
 	r := b.Clone() // residual b − Ax; x starts at 0
-	if opts.X0 != nil {
-		if len(opts.X0) != a.cols {
-			return nil, fmt.Errorf("sparse: CGLS warm start has length %d, want %d: %w", len(opts.X0), a.cols, la.ErrShape)
-		}
-		copy(x, opts.X0)
-		ax, err := a.MulVec(x)
-		if err != nil {
-			return nil, err
-		}
-		for i := range r {
-			r[i] -= ax[i]
-		}
-	}
 	s, err := a.MulVecT(r)
 	if err != nil {
 		return nil, err
 	}
 	gamma := dot(s, s)
-	// The relative-convergence reference is always ‖Aᵀb‖ — the cold
-	// start's initial normal residual — never the warm start's, which
-	// would make the stopping rule arbitrarily stricter as X0 improves.
 	snorm0 := math.Sqrt(gamma)
-	if opts.X0 != nil {
-		sb, err := a.MulVecT(b)
-		if err != nil {
-			return nil, err
-		}
-		snorm0 = math.Sqrt(dot(sb, sb))
-	}
-	res := &Result{X: x, ResidualNorm: r.Norm2(), NormalResidual: math.Sqrt(gamma)}
-	if math.Sqrt(gamma) <= tol*snorm0 {
-		// Already at tolerance: for a cold start this is the b ⊥ range(A)
-		// case (x = 0 optimal); for a warm start, X0 already solves the
-		// round.
+	res := &Result{X: x, ResidualNorm: r.Norm2(), NormalResidual: snorm0}
+	if snorm0 == 0 {
+		// b ⊥ range(A): x = 0 is optimal.
 		res.Converged = true
 		return res, nil
 	}

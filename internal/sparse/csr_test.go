@@ -158,48 +158,37 @@ func TestMulVecShapeErrors(t *testing.T) {
 	}
 }
 
-func TestNorms(t *testing.T) {
-	m := mustFromTriplets(t, 2, 3, []Triplet{
-		{Row: 0, Col: 0, Val: 3},
-		{Row: 0, Col: 2, Val: 4},
-		{Row: 1, Col: 2, Val: 2},
-	})
-	cn := m.ColNorms()
-	if cn[0] != 3 || cn[1] != 0 || math.Abs(cn[2]-math.Sqrt(20)) > 1e-15 {
-		t.Errorf("ColNorms = %v, want [3 0 √20]", cn)
-	}
-}
-
+// TestGramMatchesExplicit checks the sparse Cholesky factor against the
+// explicitly formed Gram matrix: L, with rows and columns labelled by
+// the columns of A they eliminate, must satisfy L·Lᵀ = AᵀA.
 func TestGramMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	d := la.NewMatrix(6, 4)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 4; j++ {
-			if rng.Float64() < 0.5 {
-				d.Set(i, j, rng.NormFloat64())
-			}
-		}
-	}
-	m := FromDense(d)
-	g := m.Gram()
-	if g.Dim() != 4 {
-		t.Fatalf("Gram dim = %d, want 4", g.Dim())
+	a, d := randomTall(rng, 9, 6)
+	c, err := FactorCholesky(a)
+	if err != nil {
+		t.Fatal(err)
 	}
 	gram, err := d.T().Mul(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := la.Vector{1, -2, 0.5, 3}
-	got, err := g.Apply(x)
+	n := c.Dim()
+	l := la.NewMatrix(n, n)
+	for k := 0; k < n; k++ {
+		for p := c.lp[k]; p < c.lp[k+1]; p++ {
+			l.Set(int(c.li[p]), c.perm[k], c.lx[p])
+		}
+	}
+	llt, err := l.Mul(l.T())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := gram.MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want, 1e-12) {
-		t.Fatalf("Gram.Apply = %v, explicit AᵀA·x = %v", got, want)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if got, want := llt.At(i, j), gram.At(i, j); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("(L·Lᵀ)[%d][%d] = %g, (AᵀA) = %g", i, j, got, want)
+			}
+		}
 	}
 }
 

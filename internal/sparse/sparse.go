@@ -3,21 +3,23 @@
 // matrices are 0/1 with a handful of nonzeros per path, so at ISP scale
 // (10⁵ links) the dense P×L matrix, the L×L Gram matrix, and the dense
 // estimation operator T = (RᵀR)⁻¹Rᵀ are all unaffordable, while the CSR
-// form costs O(nnz) and the normal equations can be applied — never
-// formed — by two sparse matvecs per iteration of CGLS.
+// form costs O(nnz) and a fill-reducing sparse Cholesky factor of RᵀR
+// stays within a small multiple of it.
 //
 // Determinism contract: every kernel in this package accumulates in a
 // fixed order (row-major over the stored nonzeros, input order for
 // duplicate-triplet assembly), uses no maps in numeric paths, and runs
 // single-threaded, so results are bit-identical across runs, platforms,
-// and GOMAXPROCS. The iterative solvers inherit that: same matrix, same
-// right-hand side, same options ⇒ same iterate sequence.
+// and GOMAXPROCS. The solvers inherit that: the Cholesky ordering is a
+// function of the pattern alone, and CGLS on the same matrix, right-hand
+// side and options runs the same iterate sequence.
 package sparse
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/la"
@@ -116,6 +118,45 @@ func FromDense(d *la.Matrix) *CSR {
 	return m
 }
 
+// AppendRow returns a copy of m with one more row, holding 1 at each
+// of the distinct columns cols (in any order) — the routing row of one
+// more measurement path. The receiver is unchanged.
+func (m *CSR) AppendRow(cols []int) (*CSR, error) {
+	row := slices.Clone(cols)
+	slices.Sort(row)
+	for k, j := range row {
+		if j < 0 || j >= m.cols || k > 0 && row[k-1] == j {
+			return nil, fmt.Errorf("sparse: AppendRow column %d out of range or repeated in a %d-column matrix: %w",
+				j, m.cols, ErrBadTriplet)
+		}
+	}
+	ones := make([]float64, len(row))
+	for k := range ones {
+		ones[k] = 1
+	}
+	return &CSR{
+		rows: m.rows + 1, cols: m.cols,
+		rowPtr: append(slices.Clip(m.rowPtr), len(m.colIdx)+len(row)),
+		colIdx: append(slices.Clip(m.colIdx), row...),
+		val:    append(slices.Clip(m.val), ones...),
+	}, nil
+}
+
+// RemoveRow returns a copy of m without row i, which must be in range.
+// The receiver is unchanged.
+func (m *CSR) RemoveRow(i int) *CSR {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	rowPtr := slices.Clone(m.rowPtr[:m.rows])
+	for k := i + 1; k < m.rows; k++ {
+		rowPtr[k] = m.rowPtr[k+1] - (hi - lo)
+	}
+	return &CSR{
+		rows: m.rows - 1, cols: m.cols, rowPtr: rowPtr,
+		colIdx: slices.Concat(m.colIdx[:lo], m.colIdx[hi:]),
+		val:    slices.Concat(m.val[:lo], m.val[hi:]),
+	}
+}
+
 // Dense materializes the matrix as dense storage — for tests, digests
 // of small systems, and the dense-oracle comparisons only. Callers on
 // the scaling path must never invoke it.
@@ -166,10 +207,12 @@ func (m *CSR) MulVec(x la.Vector) (la.Vector, error) {
 			m.rows, m.cols, len(x), la.ErrShape)
 	}
 	out := make(la.Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
+	for i := range out {
+		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+		vals := m.val[lo:hi]
 		var s float64
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.val[k] * x[m.colIdx[k]]
+		for q, j := range m.colIdx[lo:hi] {
+			s += vals[q] * x[j]
 		}
 		out[i] = s
 	}
@@ -201,55 +244,16 @@ func (m *CSR) MulVecTInto(dst, y la.Vector) error {
 		return fmt.Errorf("sparse: MulVecTInto dst length %d, want %d: %w",
 			len(dst), m.cols, la.ErrShape)
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		yi := y[i]
+	clear(dst)
+	for i, yi := range y {
 		if yi == 0 {
 			continue
 		}
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			dst[m.colIdx[k]] += m.val[k] * yi
+		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+		vals := m.val[lo:hi]
+		for q, j := range m.colIdx[lo:hi] {
+			dst[j] += vals[q] * yi
 		}
 	}
 	return nil
-}
-
-// ColNorms returns the Euclidean norm of each column. A zero entry
-// means the column has no nonzeros — in tomography terms, a link no
-// measurement path crosses, which makes the system unidentifiable
-// before any solver runs.
-func (m *CSR) ColNorms() la.Vector {
-	out := make(la.Vector, m.cols)
-	for k, j := range m.colIdx {
-		out[j] += m.val[k] * m.val[k]
-	}
-	for j := range out {
-		out[j] = math.Sqrt(out[j])
-	}
-	return out
-}
-
-// Gram returns the opaque normal-equations operator AᵀA. The product is
-// never formed: Apply costs two sparse matvecs, so the L×L Gram matrix
-// — the dense path's memory ceiling — never exists.
-func (m *CSR) Gram() *Gram { return &Gram{a: m} }
-
-// Gram applies AᵀA matrix-free. Safe for concurrent use (no state
-// beyond the immutable matrix).
-type Gram struct {
-	a *CSR
-}
-
-// Dim returns the operator's (square) dimension, A's column count.
-func (g *Gram) Dim() int { return g.a.cols }
-
-// Apply returns AᵀA·x via Aᵀ(A·x).
-func (g *Gram) Apply(x la.Vector) (la.Vector, error) {
-	ax, err := g.a.MulVec(x)
-	if err != nil {
-		return nil, err
-	}
-	return g.a.MulVecT(ax)
 }

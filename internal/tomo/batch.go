@@ -2,7 +2,6 @@ package tomo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -12,13 +11,11 @@ import (
 )
 
 // EstimateBatch inverts a batch of measurement rounds against one warm
-// solver, amortizing the per-call setup that a loop over Estimate pays
-// every round. On the dense route the operator T is materialized once
-// and every round is a single matvec — bit-identical to per-round
-// Estimate. On the sparse route each round's CGLS solve warm-starts
-// from the previous round's x̂ (consecutive rounds differ by a
-// perturbation, so the iteration count collapses); every solve still
-// converges under the same ‖Rᵀy‖-relative tolerance as a cold solve.
+// solver, paying the solver lookup and trace span once per batch
+// instead of once per round. Each round is the same solve Estimate runs
+// — on the dense route a matvec with the memoized operator T, on the
+// sparse route two triangular solves — so results are bit-identical to
+// per-round Estimate.
 func (s *System) EstimateBatch(ys []la.Vector) ([]la.Vector, error) {
 	return s.EstimateBatchCtx(context.Background(), ys)
 }
@@ -40,60 +37,18 @@ func (s *System) EstimateBatchCtx(ctx context.Context, ys []la.Vector) ([]la.Vec
 		return nil, err
 	}
 	out := make([]la.Vector, len(ys))
-	switch e := sv.(type) {
-	case denseSolver:
-		t, err := e.fac.OperatorCtx(ctx)
+	for i, y := range ys {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("tomo: EstimateBatch canceled after %d/%d rounds: %w", i, len(ys), err)
+		}
+		xhat, stats, err := sv.SolveCtx(ctx, y)
+		if stats != nil && s.onSolve != nil {
+			s.onSolve(*stats)
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tomo: EstimateBatch round %d: %w", i, err)
 		}
-		for i, y := range ys {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("tomo: EstimateBatch canceled after %d/%d rounds: %w", i, len(ys), err)
-			}
-			xhat, err := t.MulVec(y)
-			if err != nil {
-				return nil, fmt.Errorf("tomo: EstimateBatch round %d: %w", i, err)
-			}
-			out[i] = xhat
-		}
-	case *sparseSolver:
-		opts := e.opts
-		for i, y := range ys {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("tomo: EstimateBatch canceled after %d/%d rounds: %w", i, len(ys), err)
-			}
-			res, err := sparse.CGLS(e.a, y, opts)
-			if res != nil && s.onSolve != nil {
-				s.onSolve(SolveStats{
-					Method:         "cgls",
-					Iterations:     res.Iterations,
-					ResidualNorm:   res.ResidualNorm,
-					NormalResidual: res.NormalResidual,
-					Converged:      res.Converged,
-				})
-			}
-			if err != nil {
-				return nil, fmt.Errorf("tomo: EstimateBatch round %d: %w", i, err)
-			}
-			out[i] = res.X
-			opts.X0 = res.X
-		}
-	default:
-		// Adopted custom engine: no batch-specific amortization known,
-		// loop the generic solve.
-		for i, y := range ys {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("tomo: EstimateBatch canceled after %d/%d rounds: %w", i, len(ys), err)
-			}
-			xhat, stats, err := sv.SolveCtx(ctx, y)
-			if stats != nil && s.onSolve != nil {
-				s.onSolve(*stats)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("tomo: EstimateBatch round %d: %w", i, err)
-			}
-			out[i] = xhat
-		}
+		out[i] = xhat
 	}
 	return out, nil
 }
@@ -101,31 +56,20 @@ func (s *System) EstimateBatchCtx(ctx context.Context, ys []la.Vector) ([]la.Vec
 // PathUpdateInfo reports how a path-mutated System obtained its solver.
 type PathUpdateInfo struct {
 	// Method names the route taken:
-	//   "rank1-update"    dense factor updated in O(links²)
-	//   "rank1-downdate"  dense factor downdated in O(links²)
-	//   "refactor"        conditioning drift (or downdate indefiniteness)
-	//                     forced the cold dense oracle
-	//   "sparse-append"   CSR rebuilt, identifiability screen skipped —
-	//                     appending a row cannot lose column rank
-	//   "coverage-screen" CSR rebuilt, O(nnz) column-coverage screen
-	//                     only; deeper rank loss surfaces at solve time
-	//                     through the CGLS breakdown guard
-	//   "cold"            no warm solver to update; built from scratch
+	//   "refactor" the receiver's sparse Cholesky ordering was reused and
+	//              only the symbolic and numeric passes reran
+	//   "cold"     the solver was built from scratch (the dense route, or
+	//              a receiver with no factor to derive from)
 	Method string
-	// Refactored reports whether the dense oracle ran (Method "refactor").
-	Refactored bool
 }
 
 // AddPath returns a new System over the same graph with p appended to
 // the measurement paths. The receiver is unchanged (Systems stay
-// immutable). When the receiver's solver is warm, the new System's
-// solver is derived incrementally instead of rebuilt: the dense route
-// performs a rank-1 Cholesky update of the normal-equation factor
-// (falling back to a cold refactorization if the updated factor drifts
-// past the conditioning bound), and the sparse route skips the CondEst
-// identifiability screen outright — appending a measurement row can
-// only grow the Gram matrix, so a full-column-rank system stays full
-// column rank.
+// immutable). The new System's solver is built before it is returned:
+// on the sparse route by refactoring under the receiver's fill-reducing
+// ordering, on the dense route by a cold factorization. Appending a
+// row cannot lose column rank, so AddPath on an identifiable system
+// only fails on an invalid path.
 func (s *System) AddPath(p graph.Path) (*System, PathUpdateInfo, error) {
 	return s.AddPathCtx(context.Background(), p)
 }
@@ -134,50 +78,27 @@ func (s *System) AddPath(p graph.Path) (*System, PathUpdateInfo, error) {
 func (s *System) AddPathCtx(ctx context.Context, p graph.Path) (*System, PathUpdateInfo, error) {
 	ctx, span := obs.StartSpan(ctx, "tomo.add_path")
 	defer span.End()
-	paths := make([]graph.Path, 0, len(s.paths)+1)
-	paths = append(paths, s.paths...)
-	paths = append(paths, p)
-	ns, err := s.derive(paths)
+	if err := p.Validate(s.g); err != nil {
+		return nil, PathUpdateInfo{}, fmt.Errorf("tomo: AddPath: %w", err)
+	}
+	cols := make([]int, len(p.Links))
+	for k, l := range p.Links {
+		cols[k] = int(l)
+	}
+	sr, err := s.sr.AppendRow(cols)
 	if err != nil {
-		return nil, PathUpdateInfo{}, err
+		return nil, PathUpdateInfo{}, fmt.Errorf("tomo: AddPath: %w", err)
 	}
-	info := PathUpdateInfo{Method: "cold"}
-	switch e := s.warmSolver().(type) {
-	case denseSolver:
-		if ns.r != nil {
-			row := pathRow(p, s.NumLinks())
-			nf, refactored, err := e.fac.AddRow(row)
-			if err != nil {
-				return nil, PathUpdateInfo{}, mapUpdateErr(err)
-			}
-			if err := ns.AdoptFactor(nf); err != nil {
-				return nil, PathUpdateInfo{}, err
-			}
-			info = PathUpdateInfo{Method: "rank1-update", Refactored: refactored}
-			if refactored {
-				info.Method = "refactor"
-			}
-		}
-	case *sparseSolver:
-		if err := ns.AdoptSolver(&sparseSolver{a: ns.sr, opts: e.opts}); err != nil {
-			return nil, PathUpdateInfo{}, err
-		}
-		info = PathUpdateInfo{Method: "sparse-append"}
-	}
+	added := p.Clone()
+	ns, info, err := s.derive(ctx, sr, s.Paths(), &added)
 	span.SetAttr("method", info.Method)
-	return ns, info, nil
+	return ns, info, err
 }
 
 // RemovePath returns a new System with measurement path i removed; the
-// receiver is unchanged. The dense route performs a rank-1 Cholesky
-// downdate (with the cold dense oracle as fallback when the downdate
-// reports indefiniteness or the factor drifts past the conditioning
-// bound); unlike row addition, row removal CAN lose column rank, and in
-// that case RemovePath fails with an explicit ErrNotIdentifiable — it
-// never returns a system with a garbage factor. The sparse route
-// rebuilds the CSR and re-screens only column coverage (O(nnz));
-// subtler rank collapse is caught at solve time by the CGLS breakdown
-// guard (sparse.ErrIllConditioned).
+// receiver is unchanged. Row removal CAN lose column rank: the derived
+// solver's pivot screen then fails RemovePath with ErrNotIdentifiable,
+// so it never returns a system with a garbage factor.
 func (s *System) RemovePath(i int) (*System, PathUpdateInfo, error) {
 	return s.RemovePathCtx(context.Background(), i)
 }
@@ -186,82 +107,50 @@ func (s *System) RemovePath(i int) (*System, PathUpdateInfo, error) {
 func (s *System) RemovePathCtx(ctx context.Context, i int) (*System, PathUpdateInfo, error) {
 	ctx, span := obs.StartSpan(ctx, "tomo.remove_path")
 	defer span.End()
-	if i < 0 || i >= len(s.paths) {
-		return nil, PathUpdateInfo{}, fmt.Errorf("tomo: RemovePath index %d out of %d paths: %w", i, len(s.paths), la.ErrShape)
+	n := s.NumPaths()
+	if i < 0 || i >= n {
+		return nil, PathUpdateInfo{}, fmt.Errorf("tomo: RemovePath index %d out of %d paths: %w", i, n, la.ErrShape)
 	}
-	if len(s.paths) == 1 {
+	if n == 1 {
 		return nil, PathUpdateInfo{}, fmt.Errorf("%w: removing the last measurement path", ErrNotIdentifiable)
 	}
-	paths := make([]graph.Path, 0, len(s.paths)-1)
-	paths = append(paths, s.paths[:i]...)
-	paths = append(paths, s.paths[i+1:]...)
-	ns, err := s.derive(paths)
-	if err != nil {
-		return nil, PathUpdateInfo{}, err
+	var paths []graph.Path
+	if s.added != nil && i == n-1 {
+		paths = s.paths // removing the path AddPath added
+	} else {
+		all := s.Paths()
+		paths = make([]graph.Path, 0, n-1)
+		paths = append(paths, all[:i]...)
+		paths = append(paths, all[i+1:]...)
 	}
-	info := PathUpdateInfo{Method: "cold"}
-	switch e := s.warmSolver().(type) {
-	case denseSolver:
-		if ns.r != nil {
-			nf, refactored, err := e.fac.RemoveRow(i)
+	ns, info, err := s.derive(ctx, s.sr.RemoveRow(i), paths, nil)
+	span.SetAttr("method", info.Method)
+	return ns, info, err
+}
+
+// derive builds the sibling System for a mutated path set — paths plus
+// added, already validated, with routing matrix sr — preserving the
+// receiver's representation choice (a forced-sparse system stays
+// sparse) and solve observer, and builds its solver: a refactor under
+// the receiver's ordering when the receiver holds a sparse factor, a
+// cold build otherwise.
+func (s *System) derive(ctx context.Context, sr *sparse.CSR, paths []graph.Path, added *graph.Path) (*System, PathUpdateInfo, error) {
+	ns := &System{g: s.g, paths: paths, added: added, sr: sr, onSolve: s.onSolve}
+	if s.r != nil {
+		ns.r = sr.Dense()
+	}
+	if sv, err := s.Solver(); err == nil {
+		if cs, ok := sv.(*cholSolver); ok && ns.r == nil {
+			derived, err := newCholSolver(ctx, ns.sr, cs.f)
 			if err != nil {
-				return nil, PathUpdateInfo{Refactored: refactored}, mapUpdateErr(err)
-			}
-			if err := ns.AdoptFactor(nf); err != nil {
 				return nil, PathUpdateInfo{}, err
 			}
-			info = PathUpdateInfo{Method: "rank1-downdate", Refactored: refactored}
-			if refactored {
-				info.Method = "refactor"
-			}
+			ns.solverOnce.Do(func() { ns.solver = derived })
+			return ns, PathUpdateInfo{Method: "refactor"}, nil
 		}
-	case *sparseSolver:
-		for j, n := range ns.sr.ColNorms() {
-			if n == 0 {
-				return nil, PathUpdateInfo{}, fmt.Errorf("%w: removing path %d leaves link %d on no measurement path",
-					ErrNotIdentifiable, i, j)
-			}
-		}
-		if err := ns.AdoptSolver(&sparseSolver{a: ns.sr, opts: e.opts}); err != nil {
-			return nil, PathUpdateInfo{}, err
-		}
-		info = PathUpdateInfo{Method: "coverage-screen"}
 	}
-	span.SetAttr("method", info.Method)
-	return ns, info, nil
-}
-
-// derive builds the sibling System for a mutated path set, preserving
-// the receiver's representation choice (a forced-sparse system stays
-// sparse), solver options, and solve observer.
-func (s *System) derive(paths []graph.Path) (*System, error) {
-	ns, err := newSystem(s.g, paths, s.r == nil)
-	if err != nil {
-		return nil, err
+	if _, err := ns.SolverCtx(ctx); err != nil {
+		return nil, PathUpdateInfo{}, err
 	}
-	ns.sparseOpts = s.sparseOpts
-	ns.onSolve = s.onSolve
-	return ns, nil
-}
-
-// warmSolver returns the receiver's solver — building it if the caller
-// mutates before the first solve, since the update derives from it —
-// or nil when the receiver itself is unidentifiable, in which case the
-// mutated system simply builds its own solver cold (adding a path can
-// repair identifiability).
-func (s *System) warmSolver() Solver {
-	sv, err := s.Solver()
-	if err != nil {
-		return nil
-	}
-	return sv
-}
-
-// mapUpdateErr converts la-layer rank-deficiency verdicts into the
-// package's identifiability error, matching what a cold build reports.
-func mapUpdateErr(err error) error {
-	if errors.Is(err, la.ErrNotSPD) {
-		return fmt.Errorf("%w: %v", ErrNotIdentifiable, err)
-	}
-	return err
+	return ns, PathUpdateInfo{Method: "cold"}, nil
 }

@@ -46,9 +46,9 @@ func TestEstimateBatchDenseBitExact(t *testing.T) {
 	}
 }
 
-// The sparse batched route warm-starts each round's CGLS from the
-// previous x̂; every round must still land on the dense oracle's
-// minimizer at solver tolerance.
+// The sparse batched route solves every round against one warm factor;
+// each round must match per-round Estimate bit for bit and land on the
+// dense oracle's minimizer to rounding.
 func TestEstimateBatchSparseWarmAgrees(t *testing.T) {
 	f, dense := fig1System(t)
 	sp, err := NewSparseSystem(f.G, dense.Paths())
@@ -57,8 +57,6 @@ func TestEstimateBatchSparseWarmAgrees(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	ys := randomRounds(rng, 40, sp.NumPaths())
-	var stats []SolveStats
-	sp.SetSolveObserver(func(st SolveStats) { stats = append(stats, st) })
 	batch, err := sp.EstimateBatch(ys)
 	if err != nil {
 		t.Fatalf("EstimateBatch: %v", err)
@@ -68,16 +66,15 @@ func TestEstimateBatchSparseWarmAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dense Estimate round %d: %v", i, err)
 		}
-		if !batch[i].Equal(want, 1e-6*(1+want.Norm2())) {
-			t.Fatalf("round %d: warm sparse estimate disagrees with dense oracle", i)
+		if !batch[i].Equal(want, 1e-12*(1+want.Norm2())) {
+			t.Fatalf("round %d: sparse estimate disagrees with dense oracle", i)
 		}
-	}
-	if len(stats) != len(ys) {
-		t.Fatalf("solve observer saw %d solves, want %d", len(stats), len(ys))
-	}
-	for i, st := range stats {
-		if !st.Converged {
-			t.Fatalf("round %d: warm solve did not converge", i)
+		one, err := sp.Estimate(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !batch[i].Equal(one, 0) {
+			t.Fatalf("round %d: batched estimate not bit-identical to one-shot", i)
 		}
 	}
 }
@@ -132,8 +129,8 @@ func TestAddRemovePathDenseMatchesFreshSystem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddPath: %v", err)
 	}
-	if info.Method != "rank1-update" || info.Refactored {
-		t.Fatalf("AddPath method = %+v, want rank1-update without refactor", info)
+	if info.Method != "cold" {
+		t.Fatalf("AddPath method = %q, want cold", info.Method)
 	}
 	if added.NumPaths() != sys.NumPaths()+1 || sys.NumPaths() != 23 {
 		t.Fatalf("path counts: base %d, added %d", sys.NumPaths(), added.NumPaths())
@@ -155,13 +152,13 @@ func TestAddRemovePathDenseMatchesFreshSystem(t *testing.T) {
 		}
 	}
 
-	// Remove the duplicate again: rank-1 downdate back to 23 paths.
+	// Remove the duplicate again, back to 23 paths.
 	removed, info, err := added.RemovePath(added.NumPaths() - 1)
 	if err != nil {
 		t.Fatalf("RemovePath: %v", err)
 	}
-	if info.Method != "rank1-downdate" {
-		t.Fatalf("RemovePath method = %q, want rank1-downdate", info.Method)
+	if info.Method != "cold" {
+		t.Fatalf("RemovePath method = %q, want cold", info.Method)
 	}
 	if removed.Digest() != sys.Digest() {
 		t.Fatal("add+remove round trip changed the routing-matrix digest")
@@ -196,8 +193,8 @@ func TestAddRemovePathSparseRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddPath: %v", err)
 	}
-	if info.Method != "sparse-append" {
-		t.Fatalf("sparse AddPath method = %q, want sparse-append", info.Method)
+	if info.Method != "refactor" {
+		t.Fatalf("sparse AddPath method = %q, want refactor", info.Method)
 	}
 	if added.Dense() {
 		t.Fatal("sparse system lost forced-sparse representation through AddPath")
@@ -210,8 +207,8 @@ func TestAddRemovePathSparseRoutes(t *testing.T) {
 		t.Fatalf("EstimateBatch: %v", err)
 	}
 	for i := range ys {
-		if !got[i].Equal(want[i], 1e-6*(1+want[i].Norm2())) {
-			t.Fatalf("round %d: sparse-append estimate diverges from dense oracle", i)
+		if !got[i].Equal(want[i], 1e-12*(1+want[i].Norm2())) {
+			t.Fatalf("round %d: refactored estimate diverges from dense oracle", i)
 		}
 	}
 
@@ -219,8 +216,8 @@ func TestAddRemovePathSparseRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RemovePath: %v", err)
 	}
-	if info.Method != "coverage-screen" {
-		t.Fatalf("sparse RemovePath method = %q, want coverage-screen", info.Method)
+	if info.Method != "refactor" {
+		t.Fatalf("sparse RemovePath method = %q, want refactor", info.Method)
 	}
 	if removed.Digest() != sp.Digest() {
 		t.Fatal("sparse add+remove round trip changed the digest")
@@ -269,9 +266,9 @@ func TestRemovePathToUnidentifiableErrors(t *testing.T) {
 }
 
 // Acceptance bar: at 10k links (sparse route) a path mutation through
-// AddPath/RemovePath must be ≥ 5x faster than a cold rebuild, because
-// the incremental route skips the CondEst identifiability screen —
-// mathematically safe for row addition, which cannot lose column rank.
+// AddPath must be ≥ 5x faster than a cold rebuild, because it reuses
+// the parent factor's ordering and reruns only the symbolic and numeric
+// passes.
 func TestPathUpdateSpeedupAt10kLinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-link speedup bar skipped in -short")
@@ -294,8 +291,10 @@ func TestPathUpdateSpeedupAt10kLinks(t *testing.T) {
 	}
 	dup := paths[len(paths)-1].Clone()
 
+	// Best of five per arm: the minimum filters out the repetitions that
+	// a garbage collection or another process interrupted.
 	cold, warm := time.Duration(1<<62), time.Duration(1<<62)
-	for rep := 0; rep < 3; rep++ {
+	for rep := 0; rep < 5; rep++ {
 		t0 := time.Now()
 		cs, err := NewSparseSystem(g, append(append([]graph.Path(nil), paths...), dup))
 		if err != nil {
@@ -316,14 +315,14 @@ func TestPathUpdateSpeedupAt10kLinks(t *testing.T) {
 		if d := time.Since(t0); d < warm {
 			warm = d
 		}
-		if info.Method != "sparse-append" {
-			t.Fatalf("method = %q, want sparse-append", info.Method)
+		if info.Method != "refactor" {
+			t.Fatalf("method = %q, want refactor", info.Method)
 		}
 		if _, err := ns.Solver(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("10k-link path add: cold rebuild %v, rank-1 route %v (%.1fx)", cold, warm, float64(cold)/float64(warm))
+	t.Logf("10k-link path add: cold rebuild %v, refactor route %v (%.1fx)", cold, warm, float64(cold)/float64(warm))
 	if warm*5 > cold {
 		t.Fatalf("path update %v not ≥5x faster than cold rebuild %v", warm, cold)
 	}
@@ -355,8 +354,7 @@ func BenchmarkEstimateBatch(b *testing.B) {
 		return sys
 	}
 	// Streaming rounds drift: consecutive measurements differ by a small
-	// perturbation (congestion evolving), which is exactly what the warm
-	// CGLS start amortizes.
+	// perturbation (congestion evolving).
 	const rounds = 1000
 	ys := make([]la.Vector, rounds)
 	base := randomRounds(rng, 1, len(paths))[0]
@@ -389,7 +387,7 @@ func BenchmarkEstimateBatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("sparse-warm-batch-1k", func(b *testing.B) {
+	b.Run("sparse-batch-1k", func(b *testing.B) {
 		sys := mk(true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -398,7 +396,7 @@ func BenchmarkEstimateBatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("sparse-cold-loop-1k", func(b *testing.B) {
+	b.Run("sparse-loop-1k", func(b *testing.B) {
 		sys := mk(true)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -37,12 +37,16 @@ func backboneSystemInputs(b *testing.B, links int) (*graph.Graph, []graph.Path) 
 	return g, paths
 }
 
-// BenchmarkSparseFactor measures sparse "factorization" — CSR assembly
-// plus the matrix-free identifiability screen (coverage + CondEst) —
-// across ISP scales. The 100k case is the acceptance scale: it must
-// complete without ever materializing a dense P×L or L×L array.
+// scaleBenchLinks are the sparse-route scales: the two benchmark
+// workload fixtures (1k, 3k) and the ISP acceptance scale (100k).
+var scaleBenchLinks = []int{1000, 3000, 100000}
+
+// BenchmarkSparseFactor measures what a registration that misses the
+// solver cache pays on the sparse route: CSR assembly, the
+// approximate-minimum-degree ordering and the sparse Cholesky factor —
+// never a dense P×L or L×L array, even at 100k links.
 func BenchmarkSparseFactor(b *testing.B) {
-	for _, links := range []int{1000, 10000, 100000} {
+	for _, links := range scaleBenchLinks {
 		g, paths := backboneSystemInputs(b, links)
 		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
 			b.ReportAllocs()
@@ -59,10 +63,39 @@ func BenchmarkSparseFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseEstimate measures the steady-state estimate: one
-// matrix-free CGLS solve on a warm system (solver already screened).
+// BenchmarkSparseRefactor measures a session path round trip on the
+// sparse route: AddPath then RemovePath, each a refactor under the
+// parent factor's ordering.
+func BenchmarkSparseRefactor(b *testing.B) {
+	for _, links := range scaleBenchLinks {
+		g, paths := backboneSystemInputs(b, links)
+		s, err := NewSparseSystem(g, paths)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solver(); err != nil {
+			b.Fatal(err)
+		}
+		dup := paths[len(paths)-1]
+		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				added, _, err := s.AddPath(dup)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := added.RemovePath(added.NumPaths() - 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSparseEstimate measures the steady-state estimate on a warm
+// system: Rᵀy and two triangular solves against the cached factor.
 func BenchmarkSparseEstimate(b *testing.B) {
-	for _, links := range []int{1000, 10000, 100000} {
+	for _, links := range scaleBenchLinks {
 		g, paths := backboneSystemInputs(b, links)
 		s, err := NewSparseSystem(g, paths)
 		if err != nil {
@@ -90,9 +123,8 @@ func BenchmarkSparseEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseFactor pins the dense baseline at the largest scale it
-// can reach, so BENCH_sparse.json captures the crossover the DenseBudget
-// threshold encodes.
+// BenchmarkDenseFactor pins the in-process dense baseline at 1k links,
+// beside BenchmarkSparseFactor's 1k case.
 func BenchmarkDenseFactor(b *testing.B) {
 	g, paths := backboneSystemInputs(b, 1000)
 	b.ReportAllocs()

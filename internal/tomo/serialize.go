@@ -53,7 +53,7 @@ const systemDocVersion = 1
 // reload it for reproducible measurement campaigns.
 func (s *System) Save(w io.Writer) error {
 	doc := systemDoc{Version: systemDocVersion}
-	for _, p := range s.paths {
+	for _, p := range s.Paths() {
 		names := make([]string, len(p.Nodes))
 		for i, v := range p.Nodes {
 			n, err := s.g.NodeName(v)

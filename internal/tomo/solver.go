@@ -2,6 +2,7 @@ package tomo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/la"
@@ -10,29 +11,29 @@ import (
 )
 
 // Solver is the least-squares engine behind Estimate, abstracted so the
-// dense Cholesky route (bit-exact, materialized operator, small
-// systems) and the matrix-free iterative route (CGLS, ISP scale) are
-// interchangeable behind one registration/cache/estimate pipeline. A
-// Solver is immutable and safe for concurrent use; long-lived services
-// cache them keyed by routing-matrix digest and share one Solver across
-// every System with the same R.
+// dense route (bit-exact, materialized operator, paper-scale systems)
+// and the sparse direct route (a fill-reducing Cholesky factor of RᵀR,
+// every served system) are interchangeable behind one registration/
+// cache/estimate pipeline. A Solver is immutable and safe for
+// concurrent use; long-lived services cache them keyed by
+// routing-matrix digest and share one Solver across every System with
+// the same R.
 type Solver interface {
 	// Rows and Cols are the dimensions of the factored routing matrix
 	// (paths × links), used by adoption checks.
 	Rows() int
 	Cols() int
-	// Method names the engine ("cholesky" or "cgls") for metrics and
+	// Method names the engine ("cholesky" or "sparse-cholesky") for
 	// trace annotation.
 	Method() string
 	// SolveCtx returns the least-squares estimate for measurements y.
-	// Iterative engines also return per-solve statistics; the dense
-	// engine returns nil stats.
+	// An iterative engine also returns per-solve statistics; the two
+	// built-in engines are direct and return nil stats.
 	SolveCtx(ctx context.Context, y la.Vector) (la.Vector, *SolveStats, error)
 }
 
-// SolveStats describes one iterative solve, fed to the observer a
-// service installs with SetSolveObserver (and from there into the
-// tomographyd_solver_* histograms).
+// SolveStats describes one iterative solve by an adopted engine, fed to
+// the observer installed with SetSolveObserver.
 type SolveStats struct {
 	Method         string
 	Iterations     int
@@ -65,69 +66,51 @@ func (d denseSolver) SolveCtx(ctx context.Context, y la.Vector) (la.Vector, *Sol
 	return xhat, nil, nil
 }
 
-// sparseSolver runs matrix-free CGLS against the CSR routing matrix.
-// Construction (newSparseSolver) is the sparse analogue of
-// factorization: it validates identifiability up front so registration
-// rejects a hopeless system instead of every later estimate timing out.
-type sparseSolver struct {
-	a    *sparse.CSR
-	opts sparse.Options
+// cholSolver solves the normal equations RᵀR·x̂ = Rᵀy through a sparse
+// Cholesky factor: one transpose matvec and two triangular solves, all
+// O(nnz(R) + nnz(L)).
+type cholSolver struct {
+	a *sparse.CSR
+	f *sparse.Cholesky
 }
 
-func (s *sparseSolver) Rows() int      { return s.a.Rows() }
-func (s *sparseSolver) Cols() int      { return s.a.Cols() }
-func (s *sparseSolver) Method() string { return "cgls" }
+func (s *cholSolver) Rows() int      { return s.a.Rows() }
+func (s *cholSolver) Cols() int      { return s.a.Cols() }
+func (s *cholSolver) Method() string { return "sparse-cholesky" }
 
-func (s *sparseSolver) SolveCtx(ctx context.Context, y la.Vector) (la.Vector, *SolveStats, error) {
-	_, span := obs.StartSpan(ctx, "tomo.cgls")
-	defer span.End()
-	res, err := sparse.CGLS(s.a, y, s.opts)
-	if res == nil {
-		return nil, nil, err
-	}
-	span.SetInt("iterations", res.Iterations)
-	span.SetBool("converged", res.Converged)
-	stats := &SolveStats{
-		Method:         "cgls",
-		Iterations:     res.Iterations,
-		ResidualNorm:   res.ResidualNorm,
-		NormalResidual: res.NormalResidual,
-		Converged:      res.Converged,
-	}
+func (s *cholSolver) SolveCtx(_ context.Context, y la.Vector) (la.Vector, *SolveStats, error) {
+	xhat, err := s.a.MulVecT(y)
 	if err != nil {
-		return nil, stats, fmt.Errorf("tomo: iterative estimate: %w", err)
+		return nil, nil, fmt.Errorf("tomo: Estimate: %w", err)
 	}
-	return res.X, stats, nil
+	return xhat, nil, s.f.Solve(xhat)
 }
 
-// newSparseSolver builds the iterative solver for routing matrix a,
-// running the matrix-free identifiability screen: shape (at least as
-// many paths as links), column coverage (every link on some path), and
-// a CondEst rank check. Each failure maps to ErrNotIdentifiable, the
-// same verdict the dense route reaches through Cholesky's ErrNotSPD.
-func newSparseSolver(ctx context.Context, a *sparse.CSR, opts sparse.Options) (*sparseSolver, error) {
+// newCholSolver factors RᵀR for routing matrix a. With prev set it
+// reuses prev's fill-reducing ordering (a path add or remove changes R
+// by one row) and reruns only the symbolic and numeric passes. A pivot
+// failure is the exact rank screen: it maps to ErrNotIdentifiable.
+func newCholSolver(ctx context.Context, a *sparse.CSR, prev *sparse.Cholesky) (*cholSolver, error) {
 	_, span := obs.StartSpan(ctx, "tomo.sparse_factor")
 	defer span.End()
 	span.SetInt("rows", a.Rows())
 	span.SetInt("cols", a.Cols())
 	span.SetInt("nnz", a.NNZ())
-	if a.Rows() < a.Cols() {
-		return nil, fmt.Errorf("%w: %d paths cannot identify %d links", ErrNotIdentifiable, a.Rows(), a.Cols())
+	var (
+		f   *sparse.Cholesky
+		err error
+	)
+	if prev != nil {
+		f, err = prev.Refactor(a)
+	} else {
+		f, err = sparse.FactorCholesky(a)
 	}
-	for j, n := range a.ColNorms() {
-		if n == 0 {
-			return nil, fmt.Errorf("%w: link %d is on no measurement path", ErrNotIdentifiable, j)
-		}
+	if errors.Is(err, sparse.ErrIllConditioned) {
+		return nil, fmt.Errorf("%w: %v", ErrNotIdentifiable, err)
 	}
-	sigMax, sigMin, err := sparse.CondEst(a, 0)
 	if err != nil {
 		return nil, fmt.Errorf("tomo: sparse factor: %w", err)
 	}
-	span.SetFloat("sigma_max", sigMax)
-	span.SetFloat("sigma_min", sigMin)
-	if sparse.RankDeficient(sigMax, sigMin) {
-		return nil, fmt.Errorf("%w: routing matrix numerically rank-deficient (σmax %.3g, σmin %.3g)",
-			ErrNotIdentifiable, sigMax, sigMin)
-	}
-	return &sparseSolver{a: a, opts: opts}, nil
+	span.SetInt("nnz_l", f.NNZ())
+	return &cholSolver{a: a, f: f}, nil
 }

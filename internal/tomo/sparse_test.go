@@ -1,6 +1,7 @@
 package tomo
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -145,8 +146,8 @@ func TestSparseDigestMatchesDense(t *testing.T) {
 
 func TestSparseRankDeficiencyParity(t *testing.T) {
 	// Two identical paths covering both links: full coverage, rank 1.
-	// The dense route (Cholesky ErrNotSPD) and the sparse route (CondEst
-	// screen) must both classify it ErrNotIdentifiable.
+	// The dense route (Cholesky ErrNotSPD) and the sparse route (the
+	// factor's pivot screen) must both classify it ErrNotIdentifiable.
 	g := graph.New()
 	a := g.AddNode("a")
 	b := g.AddNode("b")
@@ -182,8 +183,8 @@ func TestSparseRankDeficiencyParity(t *testing.T) {
 }
 
 func TestSparseUncoveredLinkRejected(t *testing.T) {
-	// A link on no path fails the coverage screen with a message naming
-	// the link, rather than burning a CondEst on a hopeless system.
+	// A link on no path fails before the numeric factorization, with a
+	// message naming the link's column.
 	g := graph.New()
 	a := g.AddNode("a")
 	b := g.AddNode("b")
@@ -204,14 +205,36 @@ func TestSparseUncoveredLinkRejected(t *testing.T) {
 	if !errors.Is(serr, ErrNotIdentifiable) {
 		t.Fatalf("err = %v, want ErrNotIdentifiable", serr)
 	}
-	if !strings.Contains(serr.Error(), "on no measurement path") {
+	if !strings.Contains(serr.Error(), "column 1 is empty") {
 		t.Fatalf("error %q does not name the coverage failure", serr)
 	}
 }
 
+// cglsEngine is an iterative engine adopted through AdoptSolver: the
+// seam through which SolveStats and the solve observer still flow.
+type cglsEngine struct {
+	a    *sparse.CSR
+	opts sparse.Options
+}
+
+func (e cglsEngine) Rows() int      { return e.a.Rows() }
+func (e cglsEngine) Cols() int      { return e.a.Cols() }
+func (e cglsEngine) Method() string { return "cgls" }
+
+func (e cglsEngine) SolveCtx(_ context.Context, y la.Vector) (la.Vector, *SolveStats, error) {
+	res, err := sparse.CGLS(e.a, y, e.opts)
+	if res == nil {
+		return nil, nil, err
+	}
+	return res.X, &SolveStats{Method: "cgls", Iterations: res.Iterations,
+		ResidualNorm: res.ResidualNorm, NormalResidual: res.NormalResidual, Converged: res.Converged}, err
+}
+
 func TestSparseNonConvergenceSurfaces(t *testing.T) {
 	_, sp := fig1SparsePair(t)
-	sp.SetSparseOptions(sparse.Options{Tol: 1e-15, MaxIter: 1})
+	if err := sp.AdoptSolver(cglsEngine{a: sp.CSR(), opts: sparse.Options{Tol: 1e-15, MaxIter: 1}}); err != nil {
+		t.Fatal(err)
+	}
 	y := make(la.Vector, sp.NumPaths())
 	for i := range y {
 		y[i] = float64(i + 1)
@@ -223,17 +246,32 @@ func TestSparseNonConvergenceSurfaces(t *testing.T) {
 }
 
 func TestSparseSolveObserver(t *testing.T) {
-	_, sp := fig1SparsePair(t)
+	dense, sp := fig1SparsePair(t)
 	var seen []SolveStats
 	sp.SetSolveObserver(func(st SolveStats) { seen = append(seen, st) })
 	y := make(la.Vector, sp.NumPaths())
 	for i := range y {
 		y[i] = float64(i%5) + 1
 	}
-	for k := 0; k < 3; k++ {
-		if _, err := sp.Estimate(y); err != nil {
+	// The built-in direct engine reports nothing.
+	if _, err := sp.Estimate(y); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 0 {
+		t.Fatalf("direct solve fed the observer: %+v", seen)
+	}
+	// An adopted iterative engine feeds it once per solve, batched or not.
+	dense.SetSolveObserver(func(st SolveStats) { seen = append(seen, st) })
+	if err := dense.AdoptSolver(cglsEngine{a: dense.CSR()}); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		if _, err := dense.Estimate(y); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := dense.EstimateBatch([]la.Vector{y}); err != nil {
+		t.Fatal(err)
 	}
 	if len(seen) != 3 {
 		t.Fatalf("observer saw %d solves, want 3", len(seen))
@@ -252,7 +290,7 @@ func TestSparseAdoptSolverShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second system with the same routing matrix adopts the solver and
-	// produces identical estimates without re-screening.
+	// produces identical estimates without refactoring.
 	f := topo.Fig1()
 	other, err := NewSparseSystem(f.G, sp.Paths())
 	if err != nil {

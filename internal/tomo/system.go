@@ -24,11 +24,11 @@ var ErrDenseSuppressed = errors.New("tomo: dense representation suppressed at sp
 // DenseBudget caps the dense mirror of the routing matrix at
 // paths×links entries. At or below the budget NewSystem keeps the dense
 // R alongside the CSR form and estimation runs the bit-exact Cholesky/
-// operator route; above it only the CSR form exists and estimation is
-// matrix-free CGLS. The default (4Mi entries, 32 MiB) is far above
-// every paper-scale scenario, so all existing experiments keep their
-// bit-exact dense semantics, while ISP-scale systems never materialize
-// a P×L or L×L dense array.
+// operator route; above it only the CSR form exists and estimation runs
+// through a sparse Cholesky factor of RᵀR. The default (4Mi entries,
+// 32 MiB) is far above every paper-scale scenario, so all existing
+// experiments keep their bit-exact dense semantics, while ISP-scale
+// systems never materialize a P×L or L×L dense array.
 var DenseBudget int64 = 4 << 20
 
 // System binds a topology to a set of measurement paths and exposes the
@@ -37,17 +37,22 @@ var DenseBudget int64 = 4 << 20
 //
 // The routing matrix is held in CSR form always; a dense mirror exists
 // only within DenseBudget. The solver — dense normal-equation Cholesky
-// or matrix-free CGLS — is selected and built at most once per System
-// and shared by every subsequent Estimate call; a System is safe for
-// concurrent use once constructed.
+// or a sparse Cholesky factor — is selected and built at most once per
+// System and shared by every subsequent Estimate call; a System is safe
+// for concurrent use once constructed.
 type System struct {
-	g     *graph.Graph
-	paths []graph.Path
-	sr    *sparse.CSR
-	r     *la.Matrix // dense mirror; nil above DenseBudget
+	g *graph.Graph
+	// A system AddPath built keeps its parent's path table and the
+	// added path apart, and Paths joins them on first use, so a churn
+	// round trip — add a path, then remove it — copies no path table.
+	paths    []graph.Path
+	added    *graph.Path
+	joinOnce sync.Once
+	joined   []graph.Path
+	sr       *sparse.CSR
+	r        *la.Matrix // dense mirror; nil above DenseBudget
 
-	sparseOpts sparse.Options
-	onSolve    func(SolveStats)
+	onSolve func(SolveStats)
 
 	solverOnce sync.Once
 	solver     Solver
@@ -63,10 +68,13 @@ func NewSystem(g *graph.Graph, paths []graph.Path) (*System, error) {
 }
 
 // NewSparseSystem is NewSystem with the dense mirror unconditionally
-// suppressed: the routing matrix exists only in CSR form and estimation
-// always takes the matrix-free CGLS route, regardless of size. Tests
-// use it to run the iterative path against the dense oracle at small
-// scale; services can use it to force the O(nnz) footprint.
+// suppressed: the routing matrix exists only in CSR form, and the
+// solver is a sparse Cholesky factor of RᵀR under an approximate-
+// minimum-degree ordering, regardless of size. Its pivots are the
+// identifiability screen, an estimate is one transpose matvec plus two
+// triangular solves, and the whole system costs O(nnz(R) + nnz(L)) — a
+// few kilobytes on the committed backbone fixtures. tomographyd builds
+// every topology it serves this way.
 func NewSparseSystem(g *graph.Graph, paths []graph.Path) (*System, error) {
 	return newSystem(g, paths, true)
 }
@@ -124,10 +132,18 @@ func (s *System) Graph() *graph.Graph { return s.g }
 
 // Paths returns the measurement paths (shared slice; callers must not
 // mutate).
-func (s *System) Paths() []graph.Path { return s.paths }
+func (s *System) Paths() []graph.Path {
+	s.joinOnce.Do(func() {
+		s.joined = s.paths
+		if s.added != nil {
+			s.joined = append(s.paths[:len(s.paths):len(s.paths)], *s.added)
+		}
+	})
+	return s.joined
+}
 
 // NumPaths returns |P|.
-func (s *System) NumPaths() int { return len(s.paths) }
+func (s *System) NumPaths() int { return s.sr.Rows() }
 
 // NumLinks returns |L|.
 func (s *System) NumLinks() int { return s.g.NumLinks() }
@@ -141,7 +157,7 @@ func (s *System) NumLinks() int { return s.g.NumLinks() }
 func (s *System) R() *la.Matrix {
 	if s.r == nil {
 		panic(fmt.Sprintf("%v: %d paths × %d links exceeds DenseBudget %d; use CSR()",
-			ErrDenseSuppressed, len(s.paths), s.g.NumLinks(), DenseBudget))
+			ErrDenseSuppressed, s.NumPaths(), s.g.NumLinks(), DenseBudget))
 	}
 	return s.r
 }
@@ -160,8 +176,8 @@ func (s *System) Rank() int { return la.Rank(s.R()) }
 
 // Identifiable reports whether R has full column rank, the paper's
 // prerequisite for Eq. 2. On sparse-scale systems the check is the
-// matrix-free screen used at solver construction (column coverage plus
-// a CondEst rank estimate) rather than a dense rank computation.
+// pivot screen of the sparse Cholesky factorization rather than a dense
+// rank computation.
 func (s *System) Identifiable() bool {
 	if s.r != nil {
 		return s.Rank() == s.g.NumLinks()
@@ -170,23 +186,18 @@ func (s *System) Identifiable() bool {
 	return err == nil
 }
 
-// SetSparseOptions overrides the iterative solver's tolerance and
-// iteration budget. It must be called before the first Factor, Solver,
-// or Estimate call; after the solver is built it has no effect.
-func (s *System) SetSparseOptions(opts sparse.Options) { s.sparseOpts = opts }
-
 // SetSolveObserver installs a callback invoked with the statistics of
-// every iterative solve (dense solves report nothing — they have no
-// iteration count). Services install their metrics feed here at
-// registration time. Not synchronized: set it before the system is
-// shared across goroutines.
+// every solve whose engine reports them — an iterative engine installed
+// with AdoptSolver. The two built-in engines are direct and report
+// nothing. Not synchronized: set it before the system is shared across
+// goroutines.
 func (s *System) SetSolveObserver(f func(SolveStats)) { s.onSolve = f }
 
 // Solver returns the least-squares engine for this system, selecting
-// and building it at most once: the normal-equation Cholesky
-// factorization when the dense mirror exists, matrix-free CGLS
-// otherwise. Fails with ErrNotIdentifiable when R lacks full column
-// rank (for the sparse route: fails the matrix-free rank screen).
+// and building it at most once: the dense normal-equation Cholesky
+// factorization when the dense mirror exists, the sparse Cholesky
+// factor otherwise. Fails with ErrNotIdentifiable when R lacks full
+// column rank.
 func (s *System) Solver() (Solver, error) {
 	return s.SolverCtx(context.Background())
 }
@@ -208,7 +219,7 @@ func (s *System) SolverCtx(ctx context.Context) (Solver, error) {
 			s.solver = denseSolver{fac: fac}
 			return
 		}
-		sv, err := newSparseSolver(ctx, s.sr, s.sparseOpts)
+		sv, err := newCholSolver(ctx, s.sr, nil)
 		if err != nil {
 			s.solverErr = err
 			return
@@ -243,20 +254,7 @@ func (s *System) FactorCtx(ctx context.Context) (*la.NormalFactor, error) {
 	return ds.fac, nil
 }
 
-// AdoptFactor installs a precomputed normal-equation factorization —
-// typically one cached under this system's Digest by a long-lived
-// service — so that Factor and Estimate skip factorization entirely. It
-// rejects a factor whose dimensions do not match R. If this system has
-// already built (or adopted) its solver, the call is a no-op.
-func (s *System) AdoptFactor(fac *la.NormalFactor) error {
-	if fac == nil {
-		return fmt.Errorf("tomo: AdoptFactor: nil factor")
-	}
-	return s.AdoptSolver(denseSolver{fac: fac})
-}
-
-// AdoptSolver installs a prebuilt solver (dense or iterative) from a
-// digest-keyed cache, so this system skips factorization/screening
+// AdoptSolver installs a prebuilt solver from a digest-keyed cache, so this system skips factorization/screening
 // entirely. It rejects a solver whose dimensions do not match R. If
 // this system has already built (or adopted) its solver, the call is a
 // no-op.
@@ -317,16 +315,15 @@ func (s *System) Measure(x la.Vector) (la.Vector, error) {
 // factor) keeps estimates bit-identical to the attack-LP construction,
 // which reads T's entries — the two differ by rounding, and
 // classification thresholds can sit exactly on an LP bound. On the
-// sparse route each estimate is a matrix-free CGLS solve under the
-// system's tolerance/iteration budget, with explicit non-convergence
-// errors.
+// sparse route each estimate is Rᵀy followed by two triangular solves
+// against the cached factor.
 func (s *System) Estimate(y la.Vector) (la.Vector, error) {
 	return s.EstimateCtx(context.Background(), y)
 }
 
 // EstimateCtx is Estimate under a "tomo.solve" trace span annotated with
-// the system shape; cold-start factorization/materialization (or the
-// CGLS iteration span) appear as children when they actually run.
+// the system shape; cold-start factorization/materialization spans
+// appear as children when they actually run.
 func (s *System) EstimateCtx(ctx context.Context, y la.Vector) (la.Vector, error) {
 	ctx, span := obs.StartSpan(ctx, "tomo.solve")
 	defer span.End()
@@ -364,7 +361,7 @@ func (s *System) Residual(xhat, y la.Vector) (la.Vector, error) {
 // link l.
 func (s *System) PathsWithLink(l graph.LinkID) []int {
 	var out []int
-	for i, p := range s.paths {
+	for i, p := range s.Paths() {
 		if p.HasLink(l) {
 			out = append(out, i)
 		}
@@ -376,7 +373,7 @@ func (s *System) PathsWithLink(l graph.LinkID) []int {
 // node in set — the paths an attacker set can manipulate (Constraint 1).
 func (s *System) PathsWithAnyNode(set map[graph.NodeID]bool) []int {
 	var out []int
-	for i, p := range s.paths {
+	for i, p := range s.Paths() {
 		if p.HasAnyNode(set) {
 			out = append(out, i)
 		}

@@ -240,8 +240,8 @@ func TestAdoptFactor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	if err := s2.AdoptFactor(fac); err != nil {
-		t.Fatalf("AdoptFactor: %v", err)
+	if err := s2.AdoptSolver(denseSolver{fac: fac}); err != nil {
+		t.Fatalf("AdoptSolver: %v", err)
 	}
 	got, err := s2.Factor()
 	if err != nil {
@@ -271,11 +271,11 @@ func TestAdoptFactor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
-	if err := s3.AdoptFactor(fac); err == nil {
-		t.Errorf("AdoptFactor accepted mismatched dimensions")
+	if err := s3.AdoptSolver(denseSolver{fac: fac}); err == nil {
+		t.Errorf("AdoptSolver accepted mismatched dimensions")
 	}
-	if err := s3.AdoptFactor(nil); err == nil {
-		t.Errorf("AdoptFactor accepted nil factor")
+	if err := s3.AdoptSolver(nil); err == nil {
+		t.Errorf("AdoptSolver accepted nil solver")
 	}
 }
 

@@ -67,7 +67,7 @@ func (s *System) EstimateWeighted(y la.Vector, w la.Vector) (la.Vector, error) {
 // measurement variance grows linearly in its length.
 func (s *System) HopCountWeights() la.Vector {
 	w := make(la.Vector, s.NumPaths())
-	for i, p := range s.paths {
+	for i, p := range s.Paths() {
 		w[i] = 1 / float64(p.Len())
 	}
 	return w

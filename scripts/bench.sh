@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Runs the sparse-substrate benchmarks — CSR kernels plus the tomo-level
-# factor/estimate scaling sweep at 1k/10k/100k links — and emits the
+# Runs the sparse-substrate benchmarks — CSR kernels, the sparse
+# Cholesky factor/refactor/solve kernels and the tomo-level
+# factor/refactor/estimate sweep at 1k/3k/100k links — and emits the
 # results as BENCH_sparse.json at the repo root, so scaling regressions
 # show up as a reviewable diff rather than a vibe. Also runs the
-# streaming benchmarks (batched estimates, rank-1 QR up/downdates) into
-# BENCH_stream.json the same way, and the churn benchmarks (epoch
-# re-registration vs rank-1 session mutation at 1k/10k links, with
-# per-iteration p50/p95) into BENCH_churn.json.
+# streaming benchmark (batched estimates) into BENCH_stream.json the
+# same way, and the churn benchmarks (epoch re-registration vs a
+# session path round trip at 1k/10k links, with per-iteration p50/p95)
+# into BENCH_churn.json.
 #
 # Usage: scripts/bench.sh [benchtime]
 #   benchtime: go test -benchtime value (default 1x — each benchmark runs
@@ -55,13 +56,13 @@ go test -run='^$' -bench='Sparse|BenchmarkDenseFactor' -benchtime="$benchtime" \
     ./internal/sparse ./internal/tomo | tee "$tmp"
 emit_json "$tmp" BENCH_sparse.json
 
-go test -run='^$' -bench='BenchmarkEstimateBatch|BenchmarkQRUpdate' -benchtime="$benchtime" \
-    ./internal/tomo ./internal/la | tee "$tmp"
+go test -run='^$' -bench='BenchmarkEstimateBatch' -benchtime="$benchtime" \
+    ./internal/tomo | tee "$tmp"
 emit_json "$tmp" BENCH_stream.json
 
 # Churn epoch routes: warm re-registration (evict + register, solver
-# cache kept) vs a session rank-1 paths round trip, at dense (1k) and
-# sparse (10k) scales. p50/p95 come from per-iteration timing inside
+# cache kept) vs a session paths round trip (two refactors), at 1k and
+# 10k links. p50/p95 come from per-iteration timing inside
 # the benchmarks; at -benchtime=1x they equal the single iteration.
 go test -run='^$' -bench='BenchmarkChurnReregister|BenchmarkChurnMutate' -benchtime="$benchtime" \
     ./internal/serve | tee "$tmp"

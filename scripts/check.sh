@@ -22,5 +22,6 @@ go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/lp
 go test -run='^$' -fuzz=FuzzParseEdgeList -fuzztime=10s ./internal/graph
 go test -run='^$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/store
 go test -run='^$' -fuzz=FuzzCSRFromTriplets -fuzztime=10s ./internal/sparse
+go test -run='^$' -fuzz='^FuzzSparseCholesky$' -fuzztime=10s ./internal/sparse
 
 go test -run='^$' -bench=. -benchtime=1x ./...
