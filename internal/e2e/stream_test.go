@@ -178,16 +178,24 @@ func TestStreamBatchSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Both arms take the best of three runs, so a scheduling hiccup on
+	// a loaded machine (go test -race ./... runs packages in parallel)
+	// moves neither more than the other.
+	const reps = 3
+
 	// One-shot path: n sequential POST /v1/estimate requests, one round
 	// each — the pre-session way to score a round stream.
-	oneStart := time.Now()
-	for i := 0; i < n; i++ {
-		status, _, err := c.Estimate(ctx, sc.Name, []la.Vector{rounds[i].Y})
-		if err != nil || status != 200 {
-			t.Fatalf("one-shot estimate %d: status %d err %v", i, status, err)
+	oneShot := time.Duration(1<<62 - 1)
+	for rep := 0; rep < reps; rep++ {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			status, _, err := c.Estimate(ctx, sc.Name, []la.Vector{rounds[i].Y})
+			if err != nil || status != 200 {
+				t.Fatalf("one-shot estimate %d: status %d err %v", i, status, err)
+			}
 		}
+		oneShot = min(oneShot, time.Since(start))
 	}
-	oneShot := time.Since(oneStart)
 
 	// Streamed path: one session, one NDJSON request, batches of 100 in
 	// the packed wire form with slim verdicts — the configuration a
@@ -206,7 +214,7 @@ func TestStreamBatchSpeedup(t *testing.T) {
 		lines = append(lines, serve.StreamRound{Packed: packed, XHat: &slim})
 	}
 	streamed := time.Duration(1<<62 - 1)
-	for rep := 0; rep < 3; rep++ {
+	for rep := 0; rep < reps; rep++ {
 		hnd, err := c.OpenSession(ctx, sc.Name, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -755,5 +756,102 @@ func TestSessionRoundsRaceMutateDeleteEvict(t *testing.T) {
 	// The session must be gone exactly once, however the race resolved.
 	if resp, _ := get(t, ts, "/v1/sessions/"+sr.Session); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("post-race status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestStreamFailureKeepsAccounting pins the accounting of a stream that
+// ends in an error line: the rounds served before the failing line
+// count in the session status and in tomographyd_session_rounds_total,
+// so the server is never behind the verdicts a client has seen.
+func TestStreamFailureKeepsAccounting(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, sys := sessionFixture(t, srv, ts)
+	rounds := measureRounds(t, sys, 5, 3)
+	rounds[1][0] += 30000 // one alarm among the three
+	good := roundsBody(t, StreamRound{Rounds: rounds})
+	for _, tc := range []struct{ name, line string }{
+		{"wrong width", roundsBody(t, StreamRound{Y: []float64{1, 2, 3}})},
+		{"invalid line", "{\"y\":[01]}\n"},
+		{"bad batch", "{\"y\":[1],\"rounds\":[[1]]}\n"},
+	} {
+		resp, raw := postJSON(t, ts, "/v1/sessions", SessionRequest{Topology: "fig1"})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("session create: %d %s", resp.StatusCode, raw)
+		}
+		var sr SessionResponse
+		decodeInto(t, raw, &sr)
+		before := srv.Metrics().SessionRounds.Load()
+		alarmsBefore := srv.Metrics().SessionAlarms.Load()
+		_, verdicts, errLine, summary := postStream(t, ts, sr.Session, good+tc.line)
+		if len(verdicts) != 3 || errLine == nil || errLine.Round != 3 || summary != nil {
+			t.Fatalf("%s: %d verdicts, err=%+v, summary=%+v", tc.name, len(verdicts), errLine, summary)
+		}
+		resp, raw = get(t, ts, "/v1/sessions/"+sr.Session)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d %s", tc.name, resp.StatusCode, raw)
+		}
+		var st SessionStatusResponse
+		decodeInto(t, raw, &st)
+		if st.Rounds != 3 || st.Alarms != 1 {
+			t.Errorf("%s: session counts %d rounds, %d alarms; want 3, 1", tc.name, st.Rounds, st.Alarms)
+		}
+		if got := srv.Metrics().SessionRounds.Load() - before; got != 3 {
+			t.Errorf("%s: tomographyd_session_rounds_total grew by %d, want 3", tc.name, got)
+		}
+		if got := srv.Metrics().SessionAlarms.Load() - alarmsBefore; got != 1 {
+			t.Errorf("%s: session alarms metric grew by %d, want 1", tc.name, got)
+		}
+	}
+}
+
+// TestStreamLineZeroAlloc is the zero-allocation gate of the round
+// path: on a warm 3000-link backbone session, one 8-round request line
+// — decode, batched estimate, residual, Eq. 23 verdict, forensics
+// ingest and verdict encode — allocates nothing, in slim and in full
+// verdict mode.
+func TestStreamLineZeroAlloc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 3000-link backbone")
+	}
+	srv := New(Config{})
+	sys := backboneSparse(t, 31, 3000, 300)
+	if _, err := srv.Registry().RegisterSystem("bb", sys, 0); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	body, _ := json.Marshal(SessionRequest{Topology: "bb", Alpha: 1})
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("session create: %d %s", rec.Code, rec.Body)
+	}
+	var sr SessionResponse
+	decodeInto(t, rec.Body.Bytes(), &sr)
+	ss, err := srv.sessions.get(sr.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := measureRounds(t, sys, 9, 8)
+	ctx := context.Background()
+	for _, xhat := range []bool{false, true} {
+		line, ok := AppendStreamRound(nil, &StreamRound{Rounds: rounds, XHat: &xhat})
+		if !ok {
+			t.Fatal("encode request line")
+		}
+		line = bytes.TrimSuffix(line, []byte("\n"))
+		st := srv.newRoundStream(ctx, ss, io.Discard)
+		serve := func() {
+			if err := st.line(ctx, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		serve() // size the workspaces and fill the forensics exemplar store
+		if allocs := testing.AllocsPerRun(20, serve); allocs != 0 {
+			t.Errorf("xhat=%v: %.1f allocations per warm line, want 0", xhat, allocs)
+		}
+		if st.alarms != 0 {
+			t.Errorf("xhat=%v: %d alarms on clean rounds", xhat, st.alarms)
+		}
 	}
 }

@@ -1,8 +1,14 @@
 package serve
 
 import (
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
+
+	"repro/internal/la"
 )
 
 // Fast NDJSON wire path for round streams.
@@ -85,19 +91,22 @@ func (s *fastScan) lit(l string) bool {
 	return true
 }
 
-// key reads a simple quoted key (no escapes).
+// key reads a quoted string of printable ASCII without escapes: keys,
+// and packed payloads, whose base64 alphabet needs no escaping. Control
+// bytes (which JSON forbids raw in strings) and non-ASCII bytes (which
+// encoding/json rewrites when they are not valid UTF-8) are refused.
 func (s *fastScan) key() ([]byte, bool) {
 	if !s.eat('"') {
 		return nil, false
 	}
 	start := s.i
 	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case '"':
+		switch c := s.b[s.i]; {
+		case c == '"':
 			k := s.b[start:s.i]
 			s.i++
 			return k, true
-		case '\\':
+		case c == '\\' || c < 0x20 || c >= 0x80:
 			return nil, false
 		default:
 			s.i++
@@ -106,54 +115,67 @@ func (s *fastScan) key() ([]byte, bool) {
 	return nil, false
 }
 
-// number reads one JSON number. The digit run is validated loosely and
-// handed to strconv.ParseFloat, which is correctly rounded — estimates
-// computed from a fast-parsed y are bit-identical to the reflective
-// path's.
+// number reads one JSON number, exactly as strconv.ParseFloat would
+// (see scanNumber).
 func (s *fastScan) number() (float64, bool) {
 	s.ws()
-	start := s.i
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
-	}
-	if s.i >= len(s.b) || s.b[s.i] < '0' || s.b[s.i] > '9' {
-		return 0, false
-	}
-	for s.i < len(s.b) {
-		c := s.b[s.i]
-		if (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-' {
-			s.i++
-			continue
-		}
-		break
-	}
-	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
-	return f, err == nil
+	f, n, ok := scanNumber(s.b[s.i:])
+	s.i += n
+	return f, ok
 }
 
-// floats reads a JSON array of numbers. An empty array yields a
-// non-nil empty slice, matching encoding/json.
-func (s *fastScan) floats() ([]float64, bool) {
+// integer reads a JSON number that encoding/json would accept for an
+// int field: no fraction, no exponent, at most 18 digits (longer ones
+// go to the reflective decoder, which range-checks them).
+func (s *fastScan) integer() (int, bool) {
+	s.ws()
+	_, n, ok := scanNumber(s.b[s.i:])
+	tok := s.b[s.i : s.i+n]
+	s.i += n
+	if !ok {
+		return 0, false
+	}
+	neg := tok[0] == '-'
+	if neg {
+		tok = tok[1:]
+	}
+	if len(tok) > 18 {
+		return 0, false
+	}
+	v := 0
+	for _, c := range tok {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// floats appends the numbers of a JSON array to dst.
+func (s *fastScan) floats(dst []float64) ([]float64, bool) {
 	if !s.eat('[') {
-		return nil, false
+		return dst, false
 	}
 	if s.eat(']') {
-		return []float64{}, true
+		return dst, true
 	}
-	out := make([]float64, 0, 8)
 	for {
 		f, ok := s.number()
 		if !ok {
-			return nil, false
+			return dst, false
 		}
-		out = append(out, f)
+		dst = append(dst, f)
 		if s.eat(',') {
 			continue
 		}
 		if s.eat(']') {
-			return out, true
+			return dst, true
 		}
-		return nil, false
+		return dst, false
 	}
 }
 
@@ -172,12 +194,57 @@ func (s *fastScan) done() bool {
 	return s.i == len(s.b)
 }
 
-// parseStreamRound is the fast path for one request line. It reports
-// false — leaving sr untouched semantically (the caller re-zeroes it) —
-// whenever the line strays from the plain {"y":[...]}/{"rounds":[[...]]}
-// shapes, so unusual-but-valid and invalid JSON both land in
-// encoding/json and behave exactly as before.
-func parseStreamRound(line []byte, sr *StreamRound) bool {
+// roundDecoder turns the request lines of one round stream into
+// measurement vectors. Every float of a line — from y, rounds or a
+// packed payload — lands in one flat slice that the next line reuses,
+// and the returned rows are views into it, so a warm decoder allocates
+// nothing per line. It lives for one request and is never pooled: a
+// retained decoder would hold a line's worth of floats per session.
+type roundDecoder struct {
+	flat   []float64   // the line's floats, row-major
+	bounds []int       // rounds: row r is flat[bounds[r]:bounds[r+1]]
+	rows   []la.Vector // views into flat, returned by batch
+	raw    []byte      // decoded packed payload
+
+	// What the line set. y and rounds distinguish present-but-empty
+	// from absent, as encoding/json's nil vs empty slices do.
+	y, rounds bool
+	ylo, yhi  int
+	nullRow   int    // first null rounds row (reflective decode only), or -1
+	packed    []byte // the packed string; empty means absent
+	xhat      bool   // verdicts carry estimates (absent or true)
+}
+
+func (d *roundDecoder) reset() {
+	d.flat = d.flat[:0]
+	d.bounds = d.bounds[:0]
+	d.y, d.rounds, d.ylo, d.yhi = false, false, 0, 0
+	d.nullRow = -1
+	d.packed = nil
+	d.xhat = true
+}
+
+// parse decodes one request line. The hand-rolled scan covers the plain
+// {"y":[...]}, {"rounds":[[...]]} and {"packed":"..."} shapes; any line
+// it does not fully accept — unusual-but-valid and invalid JSON alike —
+// goes through encoding/json, so semantics and error text are the
+// reflective decoder's.
+func (d *roundDecoder) parse(line []byte) error {
+	if d.scan(line) {
+		return nil
+	}
+	var sr StreamRound
+	if err := json.Unmarshal(line, &sr); err != nil {
+		return fmt.Errorf("%w: invalid NDJSON line: %v", ErrBadRequest, err)
+	}
+	d.load(&sr)
+	return nil
+}
+
+// scan is parse's fast path. It reports false on anything off the
+// plain shapes, leaving the decoder to be reset by load.
+func (d *roundDecoder) scan(line []byte) bool {
+	d.reset()
 	s := fastScan{b: line}
 	if !s.eat('{') {
 		return false
@@ -192,28 +259,27 @@ func parseStreamRound(line []byte, sr *StreamRound) bool {
 		}
 		switch string(k) {
 		case "y":
-			ys, ok := s.floats()
-			if !ok {
+			// A repeated key wins last, as in encoding/json; the
+			// earlier value's floats stay unused in flat.
+			lo := len(d.flat)
+			if d.flat, ok = s.floats(d.flat); !ok {
 				return false
 			}
-			sr.Y = ys
+			d.y, d.ylo, d.yhi = true, lo, len(d.flat)
 		case "rounds":
 			if !s.eat('[') {
 				return false
 			}
-			// Reset so a duplicate "rounds" key keeps last-wins
-			// semantics, matching encoding/json.
-			sr.Rounds = nil
+			d.rounds = true
+			d.bounds = d.bounds[:0]
 			if s.eat(']') {
-				sr.Rounds = [][]float64{}
 				break
 			}
 			for {
-				row, ok := s.floats()
-				if !ok {
+				d.bounds = append(d.bounds, len(d.flat))
+				if d.flat, ok = s.floats(d.flat); !ok {
 					return false
 				}
-				sr.Rounds = append(sr.Rounds, row)
 				if s.eat(',') {
 					continue
 				}
@@ -222,20 +288,15 @@ func parseStreamRound(line []byte, sr *StreamRound) bool {
 				}
 				return false
 			}
+			d.bounds = append(d.bounds, len(d.flat))
 		case "packed":
-			// base64's alphabet needs no JSON escaping, so the simple
-			// no-escape string reader is exact here.
-			p, ok := s.key()
-			if !ok {
+			if d.packed, ok = s.key(); !ok {
 				return false
 			}
-			sr.Packed = string(p)
 		case "xhat":
-			v, ok := s.boolean()
-			if !ok {
+			if d.xhat, ok = s.boolean(); !ok {
 				return false
 			}
-			sr.XHat = &v
 		default:
 			return false
 		}
@@ -247,6 +308,101 @@ func parseStreamRound(line []byte, sr *StreamRound) bool {
 		}
 		return false
 	}
+}
+
+// load fills the decoder from a reflectively decoded line.
+func (d *roundDecoder) load(sr *StreamRound) {
+	d.reset()
+	if sr.Y != nil {
+		d.flat = append(d.flat, sr.Y...)
+		d.y, d.yhi = true, len(d.flat)
+	}
+	if sr.Rounds != nil {
+		d.rounds = true
+		for r, row := range sr.Rounds {
+			if row == nil && d.nullRow < 0 {
+				d.nullRow = r
+			}
+			d.bounds = append(d.bounds, len(d.flat))
+			d.flat = append(d.flat, row...)
+		}
+		if len(sr.Rounds) > 0 {
+			d.bounds = append(d.bounds, len(d.flat))
+		}
+	}
+	d.packed = []byte(sr.Packed)
+	d.xhat = sr.XHat == nil || *sr.XHat
+}
+
+// batch resolves the parsed line into measurement vectors, enforcing
+// exactly one of y, rounds and packed; numPaths is the session system's
+// current path count, which slices packed payloads into rows. The rows
+// are valid until the next parse.
+func (d *roundDecoder) batch(numPaths int) ([]la.Vector, error) {
+	set := 0
+	if d.y {
+		set++
+	}
+	if d.rounds {
+		set++
+	}
+	if len(d.packed) > 0 {
+		set++
+	}
+	if set != 1 {
+		return nil, fmt.Errorf("%w: provide exactly one of y, rounds, packed", ErrBadRequest)
+	}
+	d.rows = d.rows[:0]
+	switch {
+	case d.y:
+		d.rows = append(d.rows, d.flat[d.ylo:d.yhi:d.yhi])
+	case len(d.packed) > 0:
+		return d.unpack(numPaths)
+	case len(d.bounds) == 0:
+		return nil, fmt.Errorf("%w: empty rounds", ErrBadRequest)
+	case d.nullRow >= 0:
+		return nil, fmt.Errorf("%w: rounds[%d] is null", ErrBadRequest, d.nullRow)
+	default:
+		for r := 0; r+1 < len(d.bounds); r++ {
+			lo, hi := d.bounds[r], d.bounds[r+1]
+			d.rows = append(d.rows, d.flat[lo:hi:hi])
+		}
+	}
+	return d.rows, nil
+}
+
+// unpack decodes the packed payload: base64 of n x m row-major
+// little-endian float64s, m fixed by the session's path count.
+func (d *roundDecoder) unpack(m int) ([]la.Vector, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("%w: session system has no paths", ErrBadRequest)
+	}
+	n := base64.StdEncoding.DecodedLen(len(d.packed))
+	if cap(d.raw) < n {
+		d.raw = make([]byte, n)
+	}
+	n, err := base64.StdEncoding.Decode(d.raw[:n], d.packed)
+	if err != nil {
+		return nil, fmt.Errorf("%w: packed rounds: %v", ErrBadRequest, err)
+	}
+	raw := d.raw[:n]
+	if len(raw) == 0 || len(raw)%(8*m) != 0 {
+		return nil, fmt.Errorf("%w: packed payload is %d bytes, want a positive multiple of 8x%d",
+			ErrBadRequest, len(raw), m)
+	}
+	d.flat = d.flat[:0]
+	for i := 0; i < len(raw); i += 8 {
+		f := math.Float64frombits(binary.LittleEndian.Uint64(raw[i:]))
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("%w: packed float %d is not finite", ErrBadRequest, i/8)
+		}
+		d.flat = append(d.flat, f)
+	}
+	d.rows = d.rows[:0]
+	for lo := 0; lo < len(d.flat); lo += m {
+		d.rows = append(d.rows, d.flat[lo:lo+m:lo+m])
+	}
+	return d.rows, nil
 }
 
 // AppendStreamRound appends sr's NDJSON wire form (with trailing
@@ -358,11 +514,10 @@ func ParseStreamVerdict(line []byte, v *StreamVerdict) bool {
 	if !s.eat('{') || !s.lit(`"round"`) || !s.eat(':') {
 		return false
 	}
-	n, ok := s.number()
-	if !ok || n != math.Trunc(n) {
+	var ok bool
+	if v.Round, ok = s.integer(); !ok {
 		return false
 	}
-	v.Round = int(n)
 	if !s.eat(',') || !s.lit(`"detected"`) || !s.eat(':') {
 		return false
 	}
@@ -379,7 +534,9 @@ func ParseStreamVerdict(line []byte, v *StreamVerdict) bool {
 		if !s.lit(`"xhat"`) || !s.eat(':') {
 			return false
 		}
-		if v.XHat, ok = s.floats(); !ok {
+		// A fresh slice per verdict (callers keep it); an empty array
+		// decodes non-nil, as in encoding/json.
+		if v.XHat, ok = s.floats(make([]float64, 0, 8)); !ok {
 			return false
 		}
 	}

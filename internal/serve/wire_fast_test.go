@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/la"
 )
 
 // edgeFloats are the values where ES6-style formatting switches shape:
@@ -130,6 +132,65 @@ func TestAppendStreamVerdictMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// fastRound runs the round decoder's hand-rolled scan alone and
+// renders what it read as the StreamRound encoding/json would produce,
+// for comparison with the reflective decoder.
+func fastRound(line []byte) (StreamRound, bool) {
+	var d roundDecoder
+	if !d.scan(line) {
+		return StreamRound{}, false
+	}
+	var sr StreamRound
+	if d.y {
+		sr.Y = append([]float64{}, d.flat[d.ylo:d.yhi]...)
+	}
+	if d.rounds {
+		sr.Rounds = [][]float64{}
+		for r := 0; r+1 < len(d.bounds); r++ {
+			sr.Rounds = append(sr.Rounds, append([]float64{}, d.flat[d.bounds[r]:d.bounds[r+1]]...))
+		}
+	}
+	sr.Packed = string(d.packed)
+	sr.XHat = &d.xhat
+	return sr, true
+}
+
+// sameRound reports whether a and b are the same decoded line: equal
+// float bits (so -0 and 0 differ), and nil vs empty kept apart.
+func sameRound(a, b StreamRound) bool {
+	sameFloats := func(x, y []float64) bool {
+		if (x == nil) != (y == nil) || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !sameFloats(a.Y, b.Y) || (a.Rounds == nil) != (b.Rounds == nil) || len(a.Rounds) != len(b.Rounds) {
+		return false
+	}
+	for r := range a.Rounds {
+		if !sameFloats(a.Rounds[r], b.Rounds[r]) {
+			return false
+		}
+	}
+	// xhat compares by effect: absent means true.
+	wantX := func(p *bool) bool { return p == nil || *p }
+	return a.Packed == b.Packed && wantX(a.XHat) == wantX(b.XHat)
+}
+
+// strictNumbers are numbers that the JSON grammar rejects and a
+// loose scanner would read: leading zeros, a bare or exponent-less dot,
+// a plus sign, an empty exponent. encoding/json fails on each, so the
+// fast paths must refuse them and leave the error to it.
+var strictNumbers = []string{
+	"01", "-01.5", "00", "1.", "1.e5", ".5", "-.5", "+1", "1e", "1e+",
+	"-", "--1", "0x10", "1_000", "1.5.2", "1e5e5", "Infinity", "NaN",
+}
+
 // TestParseStreamRoundRoundTrip checks the fast decoder on its own
 // output (bit-exact floats) and on reflective output, and checks that
 // every shape it cannot handle is refused rather than misparsed — those
@@ -150,11 +211,11 @@ func TestParseStreamRoundRoundTrip(t *testing.T) {
 			jsonBytes(t, want),
 			[]byte("  " + string(jsonBytes(t, want)) + " \t"),
 		} {
-			var got StreamRound
-			if !parseStreamRound(line, &got) {
+			got, ok := fastRound(line)
+			if !ok {
 				t.Fatalf("case %d: fast decoder refused %s", i, line)
 			}
-			if !bytes.Equal(jsonBytes(t, got), jsonBytes(t, want)) {
+			if !sameRound(got, want) {
 				t.Errorf("case %d: round-trip drift: %+v vs %+v", i, got, want)
 			}
 		}
@@ -162,20 +223,30 @@ func TestParseStreamRoundRoundTrip(t *testing.T) {
 
 	// Valid-but-unusual JSON the fast path must hand to encoding/json.
 	fallbacks := []string{
-		`{"y":[1],"extra":2}`,      // unknown key
-		`{"y":[1e999]}`,            // out-of-range number (json errors too)
-		`{"y":null}`,               // null where array expected
-		`{"\u0079":[1]}`,           // escaped key
-		`{"xhat":"true"}`,          // wrong type
-		`{"y":[1]} trailing`,       // trailing garbage
-		`{"rounds":[[1],null]}`,    // null row
-		`{"packed":"a\u002bc"}`,    // escape inside string
-		`["y"]`, `42`, `"s"`, `{"`, // non-objects / malformed
+		`{"y":[1],"extra":2}`,       // unknown key
+		`{"y":[1e999]}`,             // out-of-range number (json errors too)
+		`{"y":null}`,                // null where array expected
+		`{"\u0079":[1]}`,            // escaped key
+		`{"xhat":"true"}`,           // wrong type
+		`{"y":[1]} trailing`,        // trailing garbage
+		`{"rounds":[[1],null]}`,     // null row
+		`{"packed":"a\u002bc"}`,     // escape inside string
+		"{\"packed\":\"AA\rAA\"}",   // raw control byte (base64 would skip it)
+		"{\"packed\":\"AA\xffAA\"}", // invalid UTF-8 (json rewrites it)
+		`["y"]`, `42`, `"s"`, `{"`,  // non-objects / malformed
+	}
+	for _, n := range strictNumbers {
+		fallbacks = append(fallbacks, `{"y":[`+n+`]}`, `{"rounds":[[1,`+n+`]]}`)
 	}
 	for _, s := range fallbacks {
-		var got StreamRound
-		if parseStreamRound([]byte(s), &got) {
+		if _, ok := fastRound([]byte(s)); ok {
 			t.Errorf("fast decoder accepted %q; must fall back to encoding/json", s)
+		}
+	}
+	for _, n := range strictNumbers {
+		var sr StreamRound
+		if json.Unmarshal([]byte(`{"y":[`+n+`]}`), &sr) == nil {
+			t.Errorf("encoding/json accepted %q; the strict-number table is wrong", n)
 		}
 	}
 }
@@ -201,18 +272,34 @@ func TestParseStreamVerdictRoundTrip(t *testing.T) {
 			t.Errorf("case %d: round-trip drift: %+v vs %+v", i, got, want)
 		}
 	}
-	for _, s := range []string{
+	bad := []string{
 		`{"detected":false,"round":1,"residualNorm":2}`, // reordered
 		`{"round":1.5,"detected":false,"residualNorm":2}`,
 		`{"round":1,"detected":false,"residualNorm":2,"extra":3}`,
 		`{"done":true,"rounds":5,"alarms":0}`,
 		`{"round":0,"error":"boom"}`,
-	} {
+		`{"round":1.0,"detected":false,"residualNorm":2}`, // json refuses a fraction for an int
+		`{"round":1e2,"detected":false,"residualNorm":2}`,
+		`{"round":01,"detected":false,"residualNorm":2}`,
+	}
+	for _, n := range strictNumbers {
+		bad = append(bad,
+			`{"round":1,"detected":false,"residualNorm":`+n+`}`,
+			`{"round":1,"detected":false,"residualNorm":2,"xhat":[1,`+n+`]}`)
+	}
+	for _, s := range bad {
 		var v StreamVerdict
 		if ParseStreamVerdict([]byte(s), &v) {
 			t.Errorf("fast decoder accepted %q", s)
 		}
 	}
+}
+
+// unpackRounds decodes a packed payload through the round decoder, as
+// a packed request line would be.
+func unpackRounds(s string, m int) ([]la.Vector, error) {
+	d := roundDecoder{packed: []byte(s)}
+	return d.unpack(m)
 }
 
 // TestPackedRoundTrip checks the packed wire form end to end in memory:
@@ -266,7 +353,9 @@ func TestPackedRoundTrip(t *testing.T) {
 }
 
 // TestStreamRoundBatchValidation checks the exactly-one-of contract
-// over y / rounds / packed.
+// over y / rounds / packed, on lines loaded from the reflective decoder
+// (which alone produces null rows) and on the fast scan of the same
+// lines.
 func TestStreamRoundBatchValidation(t *testing.T) {
 	p, _ := PackRounds([][]float64{{1, 2}})
 	bad := []StreamRound{
@@ -278,12 +367,21 @@ func TestStreamRoundBatchValidation(t *testing.T) {
 		{Rounds: [][]float64{nil}},
 	}
 	for i, sr := range bad {
-		if _, err := sr.batch(2); err == nil {
+		var d roundDecoder
+		d.load(&sr)
+		if _, err := d.batch(2); err == nil {
 			t.Errorf("case %d: batch accepted %+v", i, sr)
 		}
+		if err := d.parse(jsonBytes(t, sr)); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if _, err := d.batch(2); err == nil {
+			t.Errorf("case %d: batch accepted the wire form of %+v", i, sr)
+		}
 	}
-	good := StreamRound{Packed: p}
-	ys, err := good.batch(2)
+	var d roundDecoder
+	d.load(&StreamRound{Packed: p})
+	ys, err := d.batch(2)
 	if err != nil || len(ys) != 1 || len(ys[0]) != 2 {
 		t.Fatalf("packed batch: %v %v", ys, err)
 	}
@@ -336,4 +434,41 @@ func TestSessionStreamPacked(t *testing.T) {
 	if errLine == nil || !strings.Contains(errLine.Error, "packed") {
 		t.Fatalf("short packed payload not rejected: %+v", errLine)
 	}
+}
+
+// FuzzParseStreamRound checks both fast line decoders against
+// encoding/json: whenever the round decoder's scan or ParseStreamVerdict
+// accepts a line, encoding/json accepts it too and decodes the same
+// values, floats bit for bit. Equivalently, a line encoding/json
+// rejects is never accepted by a fast path.
+func FuzzParseStreamRound(f *testing.F) {
+	for _, n := range append(append([]string{}, numberSeeds...), strictNumbers...) {
+		f.Add([]byte(`{"rounds":[[` + n + `,1],[2]],"xhat":false}`))
+		f.Add([]byte(`{"round":3,"detected":true,"residualNorm":` + n + `,"xhat":[` + n + `]}`))
+	}
+	f.Add([]byte(`{"y":[1,2],"y":[3]}`))
+	f.Add([]byte(`{"packed":"AAAAAAAA8D8=","xhat":true}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		if fast, ok := fastRound(line); ok {
+			var sr StreamRound
+			if err := json.Unmarshal(line, &sr); err != nil {
+				t.Fatalf("%q: fast round decoder accepted, encoding/json: %v", line, err)
+			}
+			if !sameRound(fast, sr) {
+				t.Fatalf("%q: fast %+v, encoding/json %+v", line, fast, sr)
+			}
+		}
+		var fast StreamVerdict
+		if ParseStreamVerdict(line, &fast) {
+			var v StreamVerdict
+			if err := json.Unmarshal(line, &v); err != nil {
+				t.Fatalf("%q: ParseStreamVerdict accepted, encoding/json: %v", line, err)
+			}
+			if fast.Round != v.Round || fast.Detected != v.Detected ||
+				!sameRound(StreamRound{Y: []float64{fast.ResidualNorm}, Rounds: [][]float64{fast.XHat}},
+					StreamRound{Y: []float64{v.ResidualNorm}, Rounds: [][]float64{v.XHat}}) {
+				t.Fatalf("%q: fast %+v, encoding/json %+v", line, fast, v)
+			}
+		}
+	})
 }

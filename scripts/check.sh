@@ -23,5 +23,7 @@ go test -run='^$' -fuzz=FuzzParseEdgeList -fuzztime=10s ./internal/graph
 go test -run='^$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/store
 go test -run='^$' -fuzz=FuzzCSRFromTriplets -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzSparseCholesky$' -fuzztime=10s ./internal/sparse
+go test -run='^$' -fuzz='^FuzzJSONNumber$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz='^FuzzParseStreamRound$' -fuzztime=10s ./internal/serve
 
 go test -run='^$' -bench=. -benchtime=1x ./...
