@@ -165,19 +165,31 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 
 // MulVec returns the matrix-vector product m·v.
 func (m *Matrix) MulVec(v Vector) (Vector, error) {
-	if m.cols != len(v) {
-		return nil, fmt.Errorf("la: MulVec %d×%d by vector of length %d: %w", m.rows, m.cols, len(v), ErrShape)
-	}
 	out := make(Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
+	if err := m.MulVecInto(out, v); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MulVecInto computes m·v into dst (length rows), for per-round callers
+// that reuse one output buffer.
+func (m *Matrix) MulVecInto(dst, v Vector) error {
+	if m.cols != len(v) {
+		return fmt.Errorf("la: MulVec %d×%d by vector of length %d: %w", m.rows, m.cols, len(v), ErrShape)
+	}
+	if len(dst) != m.rows {
+		return fmt.Errorf("la: MulVecInto dst length %d, want %d: %w", len(dst), m.rows, ErrShape)
+	}
+	for i := range dst {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, a := range row {
 			s += a * v[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out, nil
+	return nil
 }
 
 // Add returns m + b.

@@ -205,15 +205,30 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // SetInt annotates the span with an integer value.
-func (s *Span) SetInt(key string, v int) { s.SetAttr(key, fmt.Sprintf("%d", v)) }
+func (s *Span) SetInt(key string, v int) {
+	if s == nil {
+		return
+	}
+	s.SetAttr(key, fmt.Sprintf("%d", v))
+}
 
 // SetBool annotates the span with a boolean value.
-func (s *Span) SetBool(key string, v bool) { s.SetAttr(key, fmt.Sprintf("%t", v)) }
+func (s *Span) SetBool(key string, v bool) {
+	if s == nil {
+		return
+	}
+	s.SetAttr(key, fmt.Sprintf("%t", v))
+}
 
 // SetFloat annotates the span with a quantized float (%.6f), so span
 // attributes survive cross-platform floating-point noise in golden
 // comparisons.
-func (s *Span) SetFloat(key string, v float64) { s.SetAttr(key, fmt.Sprintf("%.6f", v)) }
+func (s *Span) SetFloat(key string, v float64) {
+	if s == nil {
+		return
+	}
+	s.SetAttr(key, fmt.Sprintf("%.6f", v))
+}
 
 // End finishes the span (idempotent). Ending a root span commits the
 // trace to the tracer's ring buffer.

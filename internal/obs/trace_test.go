@@ -228,6 +228,15 @@ func TestNilSpanSafety(t *testing.T) {
 	if span.Context(ctx) != ctx {
 		t.Fatal("nil span Context should return ctx unchanged")
 	}
+	// Untraced callers pay nothing for annotations: the typed setters
+	// return before formatting their value.
+	if allocs := testing.AllocsPerRun(10, func() {
+		span.SetInt("n", 1)
+		span.SetBool("b", true)
+		span.SetFloat("f", 1.5)
+	}); allocs != 0 {
+		t.Fatalf("nil span setters allocate %.0f times per call set, want 0", allocs)
+	}
 }
 
 func TestSpanEndIdempotentAndHook(t *testing.T) {
