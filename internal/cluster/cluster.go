@@ -8,12 +8,11 @@
 //
 // The design leans on two invariants the lower layers already provide:
 //
-//   - WAL frames are deterministic. store.EncodeRecord is a pure
-//     function of the record, and shipped records carry the primary's
-//     sequence numbers, so a caught-up follower's journal is
-//     byte-identical to its primary's — failover promotes a warm
-//     replica whose registry digests verify, it never replays divergent
-//     state.
+//   - WAL frames ship verbatim. A follower journals the primary's own
+//     frame bytes, sequence numbers and checksums included, so a
+//     caught-up follower's journal is byte-identical to its primary's —
+//     failover promotes a warm replica whose registry digests verify,
+//     it never replays divergent state.
 //   - Registry state is digest-verified. A replicated register rebuilds
 //     the routing matrix from the shipped doc and must reproduce the
 //     digest the primary journaled, so a follower can serve estimates

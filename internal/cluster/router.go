@@ -436,7 +436,7 @@ func (rt *Router) Failover(gidx int) error {
 // different amounts — promoting anything less than the max would
 // silently drop acknowledged writes a better candidate still holds.
 // The promoted journal is byte-identical to the dead primary's up to
-// its applied sequence (shipped frames, same encoder, same sequences),
+// its applied sequence (the primary's frames, shipped verbatim),
 // and its registry was rebuilt digest-verified from those frames — so
 // promotion is just an HTTP promote plus a pointer flip. A candidate
 // that already reports itself primary was promoted out-of-band and is

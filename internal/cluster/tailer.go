@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // DefaultPollInterval is the follower pull cadence when none is set.
@@ -23,12 +24,12 @@ const DefaultPollInterval = 500 * time.Millisecond
 const maxBatchBytes = 256 << 20
 
 // Tailer pulls a primary's WAL into a follower: each Step fetches the
-// records after the follower's last applied sequence, journals them to
-// the follower's store (durability first, exactly like the primary's
-// journal-then-apply order), then folds them into the follower's
-// registry. The follower's WAL ends up byte-identical to the primary's
-// because shipped records keep the primary's sequence numbers and the
-// frame encoding is deterministic.
+// WAL frames after the follower's last applied sequence and hands them
+// to the follower's store, which journals each record before the
+// tailer folds it into the follower's registry (journal first, like the
+// primary's journal-then-apply order) and fsyncs once per batch. The
+// follower's WAL ends up byte-identical to the primary's because the
+// frames are the primary's own bytes, shipped verbatim.
 //
 // The tailer is the follower store's only writer until failover: the
 // follower's registry has no attached store, and Promote attaches it
@@ -108,18 +109,11 @@ func (t *Tailer) Step(ctx context.Context) (int, error) {
 		}
 		applied = len(batch.Docs)
 	} else {
-		for _, wr := range batch.Records {
-			rec, err := wr.StoreRecord()
-			if err != nil {
-				return applied, err
-			}
-			if err := st.ApplyRecord(rec); err != nil {
-				return applied, fmt.Errorf("cluster: journal seq %d: %w", rec.Seq, err)
-			}
-			if err := t.Server.Registry().ApplyReplicated(ctx, rec); err != nil {
-				return applied, fmt.Errorf("cluster: apply seq %d: %w", rec.Seq, err)
-			}
-			applied++
+		applied, err = st.ApplyFrames(batch.Frames, func(rec store.Record) error {
+			return t.Server.Registry().ApplyReplicated(ctx, rec)
+		})
+		if err != nil {
+			return applied, fmt.Errorf("cluster: replicate after seq %d: %w", from, err)
 		}
 	}
 	lag := uint64(0)

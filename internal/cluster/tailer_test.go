@@ -1,10 +1,14 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cluster"
@@ -114,5 +118,53 @@ func TestTailerDivergenceForcesResync(t *testing.T) {
 	}
 	if status, _ := estimateXHat(t, follower.ts.URL, "post", 5); status != http.StatusOK {
 		t.Fatalf("follower estimate for post-resync topology: %d", status)
+	}
+}
+
+// A shipped batch is one journal write and one fsync on the follower,
+// not one per record, and the follower's WAL is the primary's byte for
+// byte — the frames are shipped verbatim, not re-encoded.
+func TestTailerBatchIsOneFsync(t *testing.T) {
+	primary := newReplShard(t, serve.RolePrimary)
+	srv := serve.New(serve.Config{RequestTimeout: -1})
+	m := store.NewMetrics(srv.Metrics().Registry(), nil)
+	st, err := store.Open(context.Background(), t.TempDir(), store.Options{Fsync: store.FsyncAlways, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	srv.EnableReplication(st, serve.RoleFollower)
+
+	for k := 1; k <= 5; k++ {
+		if status, raw := postJSON(t, primary.ts.URL, "/v1/topologies", chainReq(fmt.Sprintf("t%d", k), k)); status != http.StatusCreated {
+			t.Fatalf("register t%d: %d %s", k, status, raw)
+		}
+	}
+	if status, raw := doReq(t, http.MethodDelete, primary.ts.URL+"/v1/topologies/t2", nil); status != http.StatusOK {
+		t.Fatalf("evict t2: %d %s", status, raw)
+	}
+
+	tail := &cluster.Tailer{Server: srv, Source: func() string { return primary.ts.URL }}
+	fsyncs := m.FsyncLatency.Count()
+	n, err := tail.Step(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 6 {
+		t.Fatalf("step applied %d records, want 6", n)
+	}
+	if got := m.FsyncLatency.Count() - fsyncs; got != 1 {
+		t.Fatalf("a %d-record batch cost %d follower fsyncs, want 1", n, got)
+	}
+	pwal, err := os.ReadFile(filepath.Join(primary.st.Dir(), "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwal, err := os.ReadFile(filepath.Join(st.Dir(), "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pwal, fwal) {
+		t.Fatalf("follower WAL (%d bytes) differs from the primary's (%d bytes)", len(fwal), len(pwal))
 	}
 }

@@ -125,25 +125,16 @@ func (s *Server) rejectFollower(w http.ResponseWriter) bool {
 
 // --- Replication wire types ---------------------------------------------
 
-// ReplicationRecord is one shipped WAL record on the wire.
-type ReplicationRecord struct {
-	// Op is "register" or "evict".
-	Op  string `json:"op"`
-	Seq uint64 `json:"seq"`
-	// Doc is the registered configuration (register only).
-	Doc *store.TopologyDoc `json:"doc,omitempty"`
-	// Name is the evicted topology (evict only).
-	Name string `json:"name,omitempty"`
-}
-
 // ReplicationBatch is the body of GET /v1/replication/wal: either the
-// incremental records after the follower's cursor, or (resync) the full
-// state when compaction folded the requested tail away.
+// primary's WAL frames after the follower's cursor, verbatim (base64 in
+// the JSON body; the follower applies them with store.ApplyFrames), or
+// (resync) the full state when compaction folded the requested tail
+// away.
 type ReplicationBatch struct {
 	Resync    bool                `json:"resync,omitempty"`
 	Docs      []store.TopologyDoc `json:"docs,omitempty"`
 	ResyncSeq uint64              `json:"resyncSeq,omitempty"`
-	Records   []ReplicationRecord `json:"records,omitempty"`
+	Frames    []byte              `json:"frames,omitempty"`
 	LastSeq   uint64              `json:"lastSeq"`
 }
 
@@ -151,37 +142,6 @@ type ReplicationBatch struct {
 type PromoteResponse struct {
 	Role       string `json:"role"`
 	AppliedSeq uint64 `json:"appliedSeq"`
-}
-
-// wireRecord converts a store record to its wire form.
-func wireRecord(rec store.Record) ReplicationRecord {
-	out := ReplicationRecord{Op: rec.Op.String(), Seq: rec.Seq}
-	switch rec.Op {
-	case store.OpRegister:
-		doc := rec.Doc
-		out.Doc = &doc
-	case store.OpEvict:
-		out.Name = rec.Name
-	}
-	return out
-}
-
-// StoreRecord converts a wire record back to a store record, validating
-// the op/payload pairing.
-func (r ReplicationRecord) StoreRecord() (store.Record, error) {
-	switch r.Op {
-	case "register":
-		if r.Doc == nil {
-			return store.Record{}, fmt.Errorf("replication record seq %d: register without doc", r.Seq)
-		}
-		return store.Record{Op: store.OpRegister, Seq: r.Seq, Doc: *r.Doc}, nil
-	case "evict":
-		if r.Name == "" {
-			return store.Record{}, fmt.Errorf("replication record seq %d: evict without name", r.Seq)
-		}
-		return store.Record{Op: store.OpEvict, Seq: r.Seq, Name: r.Name}, nil
-	}
-	return store.Record{}, fmt.Errorf("replication record seq %d: unknown op %q", r.Seq, r.Op)
 }
 
 // --- Handlers -----------------------------------------------------------
@@ -213,19 +173,13 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, req *http.Request) 
 		return
 	}
 	s.metrics.ReplicationPulls.Add(1)
-	batch := ReplicationBatch{
+	s.writeJSON(w, http.StatusOK, ReplicationBatch{
 		Resync:    res.Resync,
 		Docs:      res.Docs,
 		ResyncSeq: res.ResyncSeq,
+		Frames:    res.Frames,
 		LastSeq:   res.LastSeq,
-	}
-	if len(res.Records) > 0 {
-		batch.Records = make([]ReplicationRecord, len(res.Records))
-		for i, rec := range res.Records {
-			batch.Records[i] = wireRecord(rec)
-		}
-	}
-	s.writeJSON(w, http.StatusOK, batch)
+	})
 }
 
 // handleReplicationPromote flips a follower to primary (idempotent).
@@ -241,13 +195,13 @@ func (s *Server) handleReplicationPromote(w http.ResponseWriter, _ *http.Request
 // --- Registry replication apply -----------------------------------------
 
 // ApplyReplicated folds one shipped WAL record into the registry
-// without journaling it (the follower's store already applied the
-// record; durability happened before this call, mirroring the
-// primary's journal-then-apply order). Register records rebuild the
-// system from the persisted wire shape and verify the digest recorded
-// by the primary — a shard whose rebuilt routing matrix diverges fails
-// loudly instead of serving different estimates than the primary
-// acknowledged.
+// without journaling it (store.ApplyFrames wrote the record's frame
+// before handing it here and fsyncs once the batch is through,
+// mirroring the primary's journal-then-apply order). Register records
+// rebuild the system from the persisted wire shape and verify the
+// digest recorded by the primary — a shard whose rebuilt routing matrix
+// diverges fails loudly instead of serving different estimates than the
+// primary acknowledged.
 func (r *Registry) ApplyReplicated(ctx context.Context, rec store.Record) error {
 	switch rec.Op {
 	case store.OpRegister:

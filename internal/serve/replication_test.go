@@ -58,17 +58,10 @@ func pullApply(t *testing.T, pts *httptest.Server, follower *Server) {
 			t.Fatal(err)
 		}
 	} else {
-		for _, wr := range batch.Records {
-			rec, err := wr.StoreRecord()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.ApplyRecord(rec); err != nil {
-				t.Fatal(err)
-			}
-			if err := follower.Registry().ApplyReplicated(context.Background(), rec); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := st.ApplyFrames(batch.Frames, func(rec store.Record) error {
+			return follower.Registry().ApplyReplicated(context.Background(), rec)
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	follower.SetReplicationLag(batch.LastSeq - st.LastSeq())

@@ -109,3 +109,33 @@ func BenchmarkEncodeDecodeRecord(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSinceLastRecord measures one caught-up follower's pull — the
+// WAL tail after its cursor, one record here — on logs of growing
+// length. The pull holds the store lock, so its cost is append latency
+// for every write that arrives meanwhile; it should track the tail,
+// not the log.
+func BenchmarkSinceLastRecord(b *testing.B) {
+	for _, n := range []int{100, 10_000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			st, err := Open(context.Background(), b.TempDir(), Options{Fsync: FsyncNever, CompactThreshold: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			for i := 0; i < n; i++ {
+				if err := st.AppendRegister(doc(fmt.Sprintf("t%05d", i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			from := st.LastSeq() - 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Since(from); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,27 +2,26 @@ package store
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
 // This file is the store's replication surface: a primary serves its
 // journal to tailing followers with Since, and a follower mirrors the
-// primary's log with ApplyRecord (record-at-a-time, preserving the
-// primary's sequence numbers) or InstallSnapshot (full-state resync when
-// the primary compacted the records the follower still needs).
+// primary's log with ApplyFrames (a batch of the primary's WAL frames,
+// preserving its sequence numbers) or InstallSnapshot (full-state
+// resync when the primary compacted the records the follower still
+// needs).
 //
-// The record frames a follower writes are byte-identical to the
-// primary's — EncodeRecord is deterministic and the sequence numbers are
-// shipped, not re-assigned — so a promoted follower's journal replays to
-// exactly the state the primary acknowledged, and the registry's
-// digest verification holds on the promoted shard just as it does on a
+// Since ships the primary's frames verbatim and ApplyFrames writes
+// them verbatim, so a follower's WAL is the primary's bytes, not a
+// re-encoding of them: a promoted follower's journal replays to exactly
+// the state the primary acknowledged, and the registry's digest
+// verification holds on the promoted shard just as it does on a
 // restart of the original.
 
-// Since is one replication pull's worth of journal. Exactly one of the
-// two shapes is populated:
+// SinceResult is one replication pull's worth of journal. Exactly one
+// of the two shapes is populated:
 //
-//   - Records: the WAL records with seq > the requested fromSeq, in
+//   - Frames: the WAL frames with seq > the requested fromSeq, in
 //     sequence order — the common incremental case.
 //   - Resync (Docs/ResyncSeq): the full live state as of ResyncSeq,
 //     returned when compaction already folded some record the follower
@@ -32,15 +31,16 @@ import (
 // so the follower can report its replication lag without a second call.
 type SinceResult struct {
 	// Resync reports that the requested tail was compacted away and
-	// Docs/ResyncSeq carry a full-state snapshot instead of records.
+	// Docs/ResyncSeq carry a full-state snapshot instead of frames.
 	Resync bool
 	// Docs is the full live state at ResyncSeq (Resync only), oldest
 	// registration first.
 	Docs []TopologyDoc
 	// ResyncSeq is the sequence the snapshot state is current to.
 	ResyncSeq uint64
-	// Records are the journal records with seq > fromSeq (non-resync).
-	Records []Record
+	// Frames are the WAL bytes of the records with seq > fromSeq
+	// (non-resync), exactly as the primary's log holds them.
+	Frames []byte
 	// LastSeq is the store's last applied sequence.
 	LastSeq uint64
 }
@@ -64,12 +64,14 @@ func (s *Store) SnapshotSeq() uint64 {
 }
 
 // Since returns the journal tail after fromSeq. When every needed
-// record is still in the WAL the result carries the records; when
-// compaction has already folded part of that range into a snapshot the
-// result is a full-state resync instead (Resync true). A follower
-// applies records with ApplyRecord and resyncs with InstallSnapshot —
-// either way it ends at a state identical to the primary's, with no
-// record skipped or applied twice.
+// record is still in the WAL the result carries their frames, read
+// with one ReadAt from the offset index — the cost is the tail's size,
+// not the log's, and nothing is decoded. When compaction has already
+// folded part of that range into a snapshot the result is a full-state
+// resync instead (Resync true). A follower applies frames with
+// ApplyFrames and resyncs with InstallSnapshot — either way it ends at
+// a state identical to the primary's, with no record skipped or
+// applied twice.
 func (s *Store) Since(fromSeq uint64) (SinceResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -77,26 +79,19 @@ func (s *Store) Since(fromSeq uint64) (SinceResult, error) {
 		return SinceResult{}, fmt.Errorf("store: closed")
 	}
 	last := s.nextSeq - 1
-	if fromSeq > last {
-		// The follower is AHEAD of this store: it applied sequences we
-		// never journaled. That happens when a stale ex-primary rejoins
-		// as a follower after a failover promoted a peer that had not
-		// replicated its final writes. Reporting "caught up" here would
-		// let the two journals diverge silently under a shared sequence
-		// numbering; ship a full-state resync instead, so the follower
-		// converges on this store's history (discarding its unshipped
-		// tail — see ForceInstallSnapshot).
-		return SinceResult{
-			Resync:    true,
-			Docs:      s.snapshotStateLocked(),
-			ResyncSeq: last,
-			LastSeq:   last,
-		}, nil
-	}
-	if fromSeq < s.snapSeq {
-		// The records in (fromSeq, snapSeq] are gone — compaction folded
-		// them. Ship the whole live state at its current sequence; the
-		// follower replaces rather than appends.
+	if fromSeq > last || fromSeq < s.snapSeq {
+		// fromSeq > last: the follower is AHEAD of this store — it
+		// applied sequences we never journaled. That happens when a
+		// stale ex-primary rejoins as a follower after a failover
+		// promoted a peer that had not replicated its final writes.
+		// Reporting "caught up" would let the two journals diverge
+		// silently under a shared sequence numbering; a full-state
+		// resync makes the follower converge on this store's history
+		// (discarding its unshipped tail — see ForceInstallSnapshot).
+		//
+		// fromSeq < snapSeq: the records in (fromSeq, snapSeq] are gone
+		// — compaction folded them. Ship the whole live state at its
+		// current sequence; the follower replaces rather than appends.
 		return SinceResult{
 			Resync:    true,
 			Docs:      s.snapshotStateLocked(),
@@ -107,57 +102,83 @@ func (s *Store) Since(fromSeq uint64) (SinceResult, error) {
 	if fromSeq == last {
 		return SinceResult{LastSeq: last}, nil
 	}
-	// Read the WAL's valid prefix ([0, walSize)) under the lock: appends
-	// are serialized with us, so the prefix is always whole frames.
-	raw, err := os.ReadFile(filepath.Join(s.dir, walName))
-	if err != nil {
-		return SinceResult{}, fmt.Errorf("store: read wal for tail: %w", err)
+	// Appends are serialized with us, so [offset, walSize) is always
+	// whole frames.
+	off := s.index[fromSeq-s.snapSeq]
+	frames := make([]byte, s.walSize-off)
+	if _, err := s.wal.ReadAt(frames, off); err != nil {
+		return SinceResult{}, fmt.Errorf("store: read wal tail at %d: %w", off, err)
 	}
-	if int64(len(raw)) > s.walSize {
-		raw = raw[:s.walSize]
-	}
-	var recs []Record
-	off := 0
-	for off < len(raw) {
-		rec, n, err := DecodeRecord(raw[off:])
-		if err != nil {
-			return SinceResult{}, fmt.Errorf("store: tail decode at %d: %w", off, err)
-		}
-		off += n
-		if rec.Seq <= fromSeq {
-			// Leftovers below the fold (compaction crash window) or the
-			// follower's already-applied prefix.
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	s.m.countShipped(len(recs))
-	return SinceResult{Records: recs, LastSeq: last}, nil
+	s.m.countShipped(int(last - fromSeq))
+	return SinceResult{Frames: frames, LastSeq: last}, nil
 }
 
-// ApplyRecord appends a record shipped from a primary, preserving its
-// sequence number, and folds it into the state mirror — the follower
-// side of WAL shipping. The shipped stream is contiguous (Since returns
-// exactly the records after the follower's cursor), so the record must
-// carry the next sequence: a stale or duplicate sequence is rejected so
-// a mis-ordered pull can never corrupt the mirror, and a gap is
-// rejected so a lossy or truncated batch fails loudly (the tailer
-// re-pulls or resyncs) instead of silently skipping records. Durability
-// follows the store's fsync policy, and the follower compacts its own
-// journal on the same threshold as a primary.
-func (s *Store) ApplyRecord(rec Record) error {
-	switch rec.Op {
-	case OpRegister:
-		if rec.Doc.Name == "" {
-			return fmt.Errorf("store: apply register without a name")
+// ApplyFrames appends a batch of WAL frames shipped from a primary (a
+// Since result's Frames) — the follower side of WAL shipping — and
+// returns how many records it applied. Every frame is decoded and
+// CRC-checked first, and the batch must carry exactly the next
+// sequences: a stale or duplicate sequence is rejected so a mis-ordered
+// pull can never corrupt the mirror, and a gap is rejected so a lossy
+// or truncated batch fails loudly (the tailer re-pulls or resyncs)
+// instead of silently skipping records. Any bad frame rejects the whole
+// batch with nothing written.
+//
+// Each record is then written verbatim, folded into the state mirror
+// and handed to apply (when non-nil; it runs without the store lock) —
+// the follower's registry, so the journal is written before memory and
+// LastSeq never runs more than one record ahead of what the registry
+// serves. An apply error stops the batch after that record. The batch
+// ends with one fsync under FsyncAlways, not one per record, and the
+// same compaction check as a primary's append.
+func (s *Store) ApplyFrames(raw []byte, apply func(Record) error) (int, error) {
+	var recs []Record
+	var frames [][]byte
+	for off := 0; off < len(raw); {
+		rec, n, err := DecodeRecord(raw[off:])
+		if err != nil {
+			return 0, fmt.Errorf("store: apply frame at byte %d: %w", off, err)
 		}
-	case OpEvict:
-		if rec.Name == "" {
-			return fmt.Errorf("store: apply evict without a name")
+		if len(recs) > 0 && rec.Seq != recs[len(recs)-1].Seq+1 {
+			return 0, fmt.Errorf("store: apply batch skips from seq %d to %d", recs[len(recs)-1].Seq, rec.Seq)
 		}
-	default:
-		return fmt.Errorf("store: apply unknown op %d", rec.Op)
+		recs = append(recs, rec)
+		frames = append(frames, raw[off:off+n])
+		off += n
 	}
+	var err error
+	applied := 0
+	for i, rec := range recs {
+		if err = s.applyFrame(rec, frames[i]); err != nil {
+			break
+		}
+		applied++
+		if apply != nil {
+			if err = apply(rec); err != nil {
+				break
+			}
+		}
+	}
+	if applied == 0 {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return applied, fmt.Errorf("store: closed")
+	}
+	if serr := s.settleLocked(); err == nil {
+		err = serr
+	}
+	return applied, err
+}
+
+// applyFrame writes one shipped frame and publishes its record: the
+// offset index, the state mirror and the sequence. The sequence is
+// checked here, under the lock, so a batch's first frame must follow
+// this store's last record and an append that slipped in mid-batch (a
+// promotion racing the tailer) stops the batch instead of forking the
+// sequence.
+func (s *Store) applyFrame(rec Record, frame []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -166,32 +187,16 @@ func (s *Store) ApplyRecord(rec Record) error {
 	if rec.Seq != s.nextSeq {
 		return fmt.Errorf("store: apply seq %d out of order (want %d)", rec.Seq, s.nextSeq)
 	}
-	frame := EncodeRecord(s.encBuf[:0], rec)
-	s.encBuf = frame
 	if _, err := s.wal.Write(frame); err != nil {
 		return fmt.Errorf("store: wal apply append: %w", err)
 	}
 	s.m.countRecord()
 	s.m.countApplied(1)
-	s.nextSeq = rec.Seq + 1
+	s.index = append(s.index, s.walSize)
+	s.applyRecord(rec)
+	s.nextSeq++
 	s.walSize += int64(len(frame))
 	s.dirty = true
-	switch rec.Op {
-	case OpRegister:
-		s.applyRegister(rec.Doc)
-	case OpEvict:
-		s.applyEvict(rec.Name)
-	}
-	if s.opts.Fsync == FsyncAlways {
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
-	}
-	if s.opts.CompactThreshold > 0 && s.walSize >= s.opts.CompactThreshold {
-		if err := s.compactLocked(); err != nil {
-			s.log.Error("store compaction failed", "err", err)
-		}
-	}
 	return nil
 }
 

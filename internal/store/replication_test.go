@@ -1,11 +1,18 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // liveState returns the store's current state mirror (test helper; the
@@ -14,6 +21,21 @@ func liveState(s *Store) []TopologyDoc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.snapshotStateLocked()
+}
+
+// frameSeqs decodes a batch of WAL frames, returning their sequences.
+func frameSeqs(t *testing.T, raw []byte) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	for off := 0; off < len(raw); {
+		rec, n, err := DecodeRecord(raw[off:])
+		if err != nil {
+			t.Fatalf("frame at byte %d: %v", off, err)
+		}
+		seqs = append(seqs, rec.Seq)
+		off += n
+	}
+	return seqs
 }
 
 // applySince folds one replication pull into the follower, returning
@@ -26,12 +48,12 @@ func applySince(t *testing.T, follower *Store, res SinceResult) []uint64 {
 		}
 		return nil
 	}
-	seqs := make([]uint64, 0, len(res.Records))
-	for _, rec := range res.Records {
-		if err := follower.ApplyRecord(rec); err != nil {
-			t.Fatalf("apply seq %d: %v", rec.Seq, err)
-		}
+	var seqs []uint64
+	if _, err := follower.ApplyFrames(res.Frames, func(rec Record) error {
 		seqs = append(seqs, rec.Seq)
+		return nil
+	}); err != nil {
+		t.Fatalf("apply frames: %v", err)
 	}
 	return seqs
 }
@@ -58,8 +80,8 @@ func TestReplicationTailShipsRecords(t *testing.T) {
 	if res.Resync {
 		t.Fatalf("unexpected resync on an uncompacted log")
 	}
-	if len(res.Records) != 4 || res.LastSeq != 4 {
-		t.Fatalf("Since(0) = %d records, last %d; want 4, 4", len(res.Records), res.LastSeq)
+	if got := frameSeqs(t, res.Frames); len(got) != 4 || res.LastSeq != 4 {
+		t.Fatalf("Since(0) = seqs %v, last %d; want 4 records, last 4", got, res.LastSeq)
 	}
 	applySince(t, follower, res)
 
@@ -75,7 +97,7 @@ func TestReplicationTailShipsRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resync || len(res.Records) != 0 || res.LastSeq != 4 {
+	if res.Resync || len(res.Frames) != 0 || res.LastSeq != 4 {
 		t.Fatalf("caught-up pull = %+v", res)
 	}
 }
@@ -113,26 +135,27 @@ func TestFollowerJournalRecovers(t *testing.T) {
 	}
 }
 
-func TestApplyRecordRejectsOutOfOrderSeq(t *testing.T) {
+func TestApplyFramesRejectsOutOfOrderSeq(t *testing.T) {
 	follower := mustOpen(t, t.TempDir(), Options{})
 	defer follower.Close()
+	frame := func(rec Record) []byte { return EncodeRecord(nil, rec) }
 
-	rec := Record{Op: OpRegister, Seq: 1, Doc: doc("x")}
-	if err := follower.ApplyRecord(rec); err != nil {
+	x1 := frame(Record{Op: OpRegister, Seq: 1, Doc: doc("x")})
+	if _, err := follower.ApplyFrames(x1, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same seq again: a duplicate pull must not double-apply.
-	if err := follower.ApplyRecord(rec); err == nil {
+	if _, err := follower.ApplyFrames(x1, nil); err == nil {
 		t.Fatal("duplicate seq accepted")
 	}
 	// A gap means the shipped stream lost records: refuse, don't skip.
-	if err := follower.ApplyRecord(Record{Op: OpRegister, Seq: 3, Doc: doc("y")}); err == nil {
+	if _, err := follower.ApplyFrames(frame(Record{Op: OpRegister, Seq: 3, Doc: doc("y")}), nil); err == nil {
 		t.Fatal("gapped seq accepted")
 	}
-	if err := follower.ApplyRecord(Record{Op: OpRegister, Seq: 2, Doc: doc("y")}); err != nil {
+	if _, err := follower.ApplyFrames(frame(Record{Op: OpRegister, Seq: 2, Doc: doc("y")}), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.ApplyRecord(Record{Op: OpEvict, Seq: 1, Name: "x"}); err == nil {
+	if _, err := follower.ApplyFrames(frame(Record{Op: OpEvict, Seq: 1, Name: "x"}), nil); err == nil {
 		t.Fatal("backwards seq accepted")
 	}
 	if got := follower.LastSeq(); got != 2 {
@@ -140,6 +163,79 @@ func TestApplyRecordRejectsOutOfOrderSeq(t *testing.T) {
 	}
 	if got := names(liveState(follower)); len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("state %v, want [x y]", got)
+	}
+}
+
+// A batch is all or nothing: one bad frame anywhere in it — a gap
+// between good frames, a flipped bit mid-batch, a torn last frame —
+// rejects the whole batch, and nothing reaches the WAL or the mirror.
+func TestApplyFramesRejectsWholeBadBatch(t *testing.T) {
+	follower := mustOpen(t, t.TempDir(), Options{})
+	defer follower.Close()
+	batch := func(seqs ...uint64) []byte {
+		var b []byte
+		for _, seq := range seqs {
+			b = EncodeRecord(b, Record{Op: OpRegister, Seq: seq, Doc: doc(fmt.Sprintf("t%d", seq))})
+		}
+		return b
+	}
+	good := batch(1, 2, 3)
+	corrupt := bytes.Clone(good)
+	second := len(EncodeRecord(nil, Record{Op: OpRegister, Seq: 1, Doc: doc("t1")}))
+	corrupt[second+headerBytes+payloadMeta+3] ^= 0x40 // inside seq 2's body
+	for name, raw := range map[string][]byte{
+		"gap":       batch(1, 2, 4, 5),
+		"duplicate": batch(1, 2, 2),
+		"corrupt":   corrupt,
+		"torn":      good[:len(good)-4],
+	} {
+		if _, err := follower.ApplyFrames(raw, nil); err == nil {
+			t.Fatalf("%s batch accepted", name)
+		}
+		if follower.LastSeq() != 0 || follower.WALSize() != 0 || len(liveState(follower)) != 0 {
+			t.Fatalf("%s batch left seq %d, wal %d bytes, %d topologies",
+				name, follower.LastSeq(), follower.WALSize(), len(liveState(follower)))
+		}
+	}
+	n, err := follower.ApplyFrames(good, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3 || follower.LastSeq() != 3 || follower.WALSize() != int64(len(good)) {
+		t.Fatalf("good batch: %d records, seq %d, wal %d bytes", n, follower.LastSeq(), follower.WALSize())
+	}
+}
+
+// Each record is journaled and published before it is handed on, so
+// the applied sequence is never more than one record ahead of the
+// caller's registry; an apply error stops the batch after that record,
+// and what was written is still synced once.
+func TestApplyFramesJournalsEachRecordBeforeApply(t *testing.T) {
+	m := NewMetrics(obs.NewRegistry(), nil)
+	follower := mustOpen(t, t.TempDir(), Options{Metrics: m})
+	defer follower.Close()
+	var raw []byte
+	for seq := uint64(1); seq <= 4; seq++ {
+		raw = EncodeRecord(raw, Record{Op: OpRegister, Seq: seq, Doc: doc(fmt.Sprintf("t%d", seq))})
+	}
+	refuse := errors.New("registry refused")
+	n, err := follower.ApplyFrames(raw, func(rec Record) error {
+		if got := follower.LastSeq(); got != rec.Seq {
+			t.Errorf("seq %d handed on at applied seq %d", rec.Seq, got)
+		}
+		if rec.Seq == 2 {
+			return refuse
+		}
+		return nil
+	})
+	if !errors.Is(err, refuse) || n != 2 {
+		t.Fatalf("ApplyFrames = %d, %v; want 2 and the apply error", n, err)
+	}
+	if got := follower.LastSeq(); got != 2 {
+		t.Fatalf("applied seq %d after a refused record 2, want 2", got)
+	}
+	if got := m.FsyncLatency.Count(); got != 1 {
+		t.Fatalf("%d fsyncs for the batch, want 1", got)
 	}
 }
 
@@ -170,11 +266,12 @@ func TestInstallSnapshotForcedDiscardsDivergedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var diverged []byte
 	for i := 1; i <= 5; i++ {
-		rec := Record{Op: OpRegister, Seq: uint64(i), Doc: doc(fmt.Sprintf("f%d", i))}
-		if err := follower.ApplyRecord(rec); err != nil {
-			t.Fatal(err)
-		}
+		diverged = EncodeRecord(diverged, Record{Op: OpRegister, Seq: uint64(i), Doc: doc(fmt.Sprintf("f%d", i))})
+	}
+	if _, err := follower.ApplyFrames(diverged, nil); err != nil {
+		t.Fatal(err)
 	}
 
 	res, err := primary.Since(follower.LastSeq())
@@ -211,7 +308,7 @@ func TestInstallSnapshotForcedDiscardsDivergedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resync || len(res.Records) != 1 {
+	if res.Resync || len(frameSeqs(t, res.Frames)) != 1 {
 		t.Fatalf("post-divergence pull = %+v, want 1 record", res)
 	}
 	applySince(t, follower, res)
@@ -283,7 +380,7 @@ func TestCompactionRacesTailReaderDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resync || len(res.Records) != 1 {
+	if res.Resync || len(frameSeqs(t, res.Frames)) != 1 {
 		t.Fatalf("post-resync pull = %+v", res)
 	}
 	applySince(t, follower, res)
@@ -336,11 +433,8 @@ func TestCompactionRacesLiveTailReader(t *testing.T) {
 			}
 			continue
 		}
-		for _, rec := range res.Records {
-			applied[rec.Seq]++
-			if err := follower.ApplyRecord(rec); err != nil {
-				t.Fatalf("apply seq %d: %v", rec.Seq, err)
-			}
+		for _, seq := range applySince(t, follower, res) {
+			applied[seq]++
 		}
 	}
 	wg.Wait()
@@ -380,7 +474,188 @@ func TestSinceSkipsFoldedLeftovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resync || len(res.Records) != 0 {
+	if res.Resync || len(res.Frames) != 0 {
 		t.Fatalf("folded leftovers shipped: %+v", res)
+	}
+}
+
+// walTail is the reference answer for Since(k): a whole-file
+// DecodeRecord scan of the store's WAL, keeping the frames of seqs
+// after k.
+func walTail(t *testing.T, st *Store, k uint64) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(st.Dir(), walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for off := 0; off < len(raw); {
+		rec, n, err := DecodeRecord(raw[off:])
+		if err != nil {
+			t.Fatalf("wal scan at byte %d: %v", off, err)
+		}
+		if rec.Seq > k {
+			out = append(out, raw[off:off+n]...)
+		}
+		off += n
+	}
+	return out
+}
+
+// checkIndex asserts that Since(k) serves exactly walTail(k) for every
+// cursor k in [snapSeq, last].
+func checkIndex(t *testing.T, st *Store, stage string) {
+	t.Helper()
+	for k := st.SnapshotSeq(); k <= st.LastSeq(); k++ {
+		res, err := st.Since(k)
+		if err != nil {
+			t.Fatalf("%s: Since(%d): %v", stage, k, err)
+		}
+		if res.Resync {
+			t.Fatalf("%s: Since(%d) resynced", stage, k)
+		}
+		if want := walTail(t, st, k); !bytes.Equal(res.Frames, want) {
+			t.Fatalf("%s: Since(%d) served seqs %v, the WAL scan finds %v",
+				stage, k, frameSeqs(t, res.Frames), frameSeqs(t, want))
+		}
+	}
+}
+
+// The offset index must answer every cursor exactly as a full WAL scan
+// would, through every way the log changes shape: appends and evicts,
+// compaction, a reopen whose WAL still holds folded leftovers (the
+// crash window between MANIFEST rename and WAL truncate), a torn-tail
+// truncation, and a follower's ApplyFrames — including a batch that
+// trips the follower's own compaction.
+func TestSinceIndexMatchesWALScan(t *testing.T) {
+	pdir := t.TempDir()
+	primary := mustOpen(t, pdir, Options{CompactThreshold: -1})
+	appendAll := func(st *Store, ops ...string) {
+		t.Helper()
+		for _, op := range ops {
+			var err error
+			if name, ok := strings.CutPrefix(op, "-"); ok {
+				err = st.AppendEvict(name)
+			} else {
+				err = st.AppendRegister(doc(op))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendAll(primary, "a", "b", "c", "-b", "d")
+	checkIndex(t, primary, "appends")
+
+	res, err := primary.Since(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := res.Frames
+	follower := mustOpen(t, t.TempDir(), Options{CompactThreshold: int64(len(first)) + 1})
+	defer follower.Close()
+	applySince(t, follower, res)
+	checkIndex(t, follower, "follower batch")
+	if got := walTail(t, follower, 0); !bytes.Equal(got, first) {
+		t.Fatal("follower WAL differs from the primary's")
+	}
+
+	folded, err := os.ReadFile(filepath.Join(pdir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, primary, "compacted")
+	appendAll(primary, "e", "-a")
+	checkIndex(t, primary, "appends after compaction")
+
+	// Crash window: put the folded records back in front of the live
+	// ones, as if the WAL truncate never ran, and reopen.
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	live, err := os.ReadFile(filepath.Join(pdir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(pdir, walName), append(folded, live...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	primary = mustOpen(t, pdir, Options{CompactThreshold: -1})
+	if rec := primary.Recovered(); rec.SkippedRecords != 5 || rec.ReplayedRecords != 2 {
+		t.Fatalf("crash-window reopen skipped %d, replayed %d; want 5, 2", rec.SkippedRecords, rec.ReplayedRecords)
+	}
+	checkIndex(t, primary, "reopen with folded leftovers")
+	appendAll(primary, "f")
+	checkIndex(t, primary, "append after leftovers")
+
+	// Torn tail: half a frame after the last whole one.
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := EncodeRecord(nil, Record{Op: OpRegister, Seq: primary.LastSeq() + 1, Doc: doc("lost")})
+	wf, err := os.OpenFile(filepath.Join(pdir, walName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wf.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	wf.Close()
+	primary = mustOpen(t, pdir, Options{CompactThreshold: -1})
+	defer primary.Close()
+	if !primary.Recovered().TornTail {
+		t.Fatal("torn tail not truncated")
+	}
+	checkIndex(t, primary, "torn-tail reopen")
+	appendAll(primary, "g", "-c")
+	checkIndex(t, primary, "append after truncation")
+
+	// The follower's next batch crosses its compaction threshold; the
+	// batch after that is indexed from an empty WAL.
+	applySince(t, follower, mustSince(t, primary, follower.LastSeq()))
+	if follower.SnapshotSeq() != primary.LastSeq() || follower.WALSize() != 0 {
+		t.Fatalf("follower did not compact: snapshot seq %d, wal %d bytes", follower.SnapshotSeq(), follower.WALSize())
+	}
+	checkIndex(t, follower, "follower compacted")
+	appendAll(primary, "h", "i")
+	applySince(t, follower, mustSince(t, primary, follower.LastSeq()))
+	checkIndex(t, follower, "follower batch after compaction")
+	if got, want := liveState(follower), liveState(primary); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower state %v != primary %v", names(got), names(want))
+	}
+}
+
+func mustSince(t *testing.T, st *Store, from uint64) SinceResult {
+	t.Helper()
+	res, err := st.Since(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// A pull costs the tail, not the log: serving the last record allocates
+// the same on a 10-record WAL as on a 500-record one.
+func TestSinceCostIndependentOfWALLength(t *testing.T) {
+	allocs := func(n int) float64 {
+		st := mustOpen(t, t.TempDir(), Options{Fsync: FsyncNever, CompactThreshold: -1})
+		defer st.Close()
+		for i := 0; i < n; i++ {
+			if err := st.AppendRegister(doc(fmt.Sprintf("t%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		from := st.LastSeq() - 1
+		return testing.AllocsPerRun(50, func() {
+			if _, err := st.Since(from); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(10), allocs(500); short != long {
+		t.Fatalf("Since(last-1) allocates %v times on a 10-record WAL, %v on a 500-record one", short, long)
 	}
 }

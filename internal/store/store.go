@@ -142,8 +142,9 @@ type Store struct {
 	wal       *os.File
 	walSize   int64
 	nextSeq   uint64
-	snapSeq   uint64 // last seq folded into the current snapshot
-	encBuf    []byte // frame scratch, reused under mu by append
+	snapSeq   uint64  // last seq folded into the current snapshot
+	index     []int64 // WAL offset of each live frame: index[i] holds seq snapSeq+1+i
+	encBuf    []byte  // frame scratch, reused under mu by append
 	state     map[string]TopologyDoc
 	order     []string // live names, oldest registration first
 	recovered RecoveredState
@@ -320,8 +321,9 @@ func (s *Store) loadSnapshot(ctx context.Context) (uint64, error) {
 // replayWAL applies the WAL tail on top of the snapshot state and
 // leaves s.wal open, truncated to its valid prefix, positioned at the
 // end. Records with seq ≤ snapSeq were already folded and are skipped;
-// a non-increasing sequence, torn frame, or failed checksum truncates
-// the log there.
+// every live record must carry the next sequence, so a regressed or
+// skipped sequence, torn frame, or failed checksum truncates the log
+// there. Each live record's offset goes into the Since index.
 func (s *Store) replayWAL(ctx context.Context, snapSeq uint64) (uint64, error) {
 	_, span := obs.StartSpan(ctx, "store.wal_replay")
 	defer span.End()
@@ -349,16 +351,12 @@ func (s *Store) replayWAL(ctx context.Context, snapSeq uint64) (uint64, error) {
 			off += n
 			continue
 		}
-		if rec.Seq <= lastSeq {
-			tailErr = fmt.Errorf("%w: sequence went backwards (%d after %d)", ErrCorrupt, rec.Seq, lastSeq)
+		if rec.Seq != lastSeq+1 {
+			tailErr = fmt.Errorf("%w: sequence %d after %d", ErrCorrupt, rec.Seq, lastSeq)
 			break
 		}
-		switch rec.Op {
-		case OpRegister:
-			s.applyRegister(rec.Doc)
-		case OpEvict:
-			s.applyEvict(rec.Name)
-		}
+		s.applyRecord(rec)
+		s.index = append(s.index, int64(off))
 		lastSeq = rec.Seq
 		s.recovered.ReplayedRecords++
 		off += n
@@ -411,6 +409,16 @@ func (s *Store) applyEvict(name string) {
 	}
 }
 
+// applyRecord folds a decoded WAL record into the state mirror.
+func (s *Store) applyRecord(rec Record) {
+	switch rec.Op {
+	case OpRegister:
+		s.applyRegister(rec.Doc)
+	case OpEvict:
+		s.applyEvict(rec.Name)
+	}
+}
+
 // snapshotStateLocked copies the live state in registration order.
 func (s *Store) snapshotStateLocked() []TopologyDoc {
 	out := make([]TopologyDoc, 0, len(s.order))
@@ -428,7 +436,7 @@ func (s *Store) AppendRegister(doc TopologyDoc) error {
 	if doc.Name == "" {
 		return fmt.Errorf("store: register without a name")
 	}
-	return s.append(Record{Op: OpRegister, Doc: doc}, func() { s.applyRegister(doc) })
+	return s.append(Record{Op: OpRegister, Doc: doc})
 }
 
 // AppendEvict durably logs an eviction.
@@ -436,13 +444,13 @@ func (s *Store) AppendEvict(name string) error {
 	if name == "" {
 		return fmt.Errorf("store: evict without a name")
 	}
-	return s.append(Record{Op: OpEvict, Name: name}, func() { s.applyEvict(name) })
+	return s.append(Record{Op: OpEvict, Name: name})
 }
 
 // append frames rec with the next sequence, writes it, applies the
 // mirror update, syncs per policy, and compacts if the log crossed the
 // threshold.
-func (s *Store) append(rec Record, apply func()) error {
+func (s *Store) append(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -464,10 +472,17 @@ func (s *Store) append(rec Record, apply func()) error {
 	}
 	s.m.observeAppend(time.Since(t0))
 	s.m.countRecord()
+	s.index = append(s.index, s.walSize)
 	s.nextSeq++
 	s.walSize += int64(len(frame))
 	s.dirty = true
-	apply()
+	s.applyRecord(rec)
+	return s.settleLocked()
+}
+
+// settleLocked finishes a WAL write: fsync under FsyncAlways, then
+// compaction if the log crossed the threshold.
+func (s *Store) settleLocked() error {
 	if s.opts.Fsync == FsyncAlways {
 		if err := s.syncLocked(); err != nil {
 			return err
@@ -593,6 +608,7 @@ func (s *Store) commitSnapshotLocked(raw []byte, seq uint64) error {
 		return fmt.Errorf("store: sync rewound wal: %w", err)
 	}
 	s.walSize = 0
+	s.index = s.index[:0]
 	s.dirty = false
 	s.snapSeq = seq
 	s.removeStaleSnapshotsLocked(snapName)

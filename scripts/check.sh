@@ -21,6 +21,7 @@ go test -race ./...
 go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/lp
 go test -run='^$' -fuzz=FuzzParseEdgeList -fuzztime=10s ./internal/graph
 go test -run='^$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/store
+go test -run='^$' -fuzz=FuzzApplyFrames -fuzztime=10s ./internal/store
 go test -run='^$' -fuzz=FuzzCSRFromTriplets -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzSparseCholesky$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzJSONNumber$' -fuzztime=10s ./internal/serve
